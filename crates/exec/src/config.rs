@@ -6,8 +6,8 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// Default worker count for parallel execution: the `TMQL_THREADS`
 /// environment variable when set (parsed, clamped to ≥ 1; `0` and `auto`
 /// mean "use the hardware"), else [`std::thread::available_parallelism`].
-/// `1` disables parallelism entirely — execution takes exactly the
-/// pre-parallel code paths.
+/// `1` disables parallelism entirely: every wave has width one and no
+/// thread is spawned.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("TMQL_THREADS") {
         let v = v.trim();
@@ -59,11 +59,12 @@ pub struct ExecConfig {
     /// repartitioning stops at [`crate::op::spill::MAX_REPARTITION_DEPTH`]).
     pub memory_budget_rows: Option<usize>,
     /// Worker threads for morsel-driven parallel execution (clamped to
-    /// ≥ 1). At `1` (always the case on single-core hosts) execution is
-    /// exactly the serial pre-parallel behavior; above `1`, table scans
-    /// fan morsels out to a scoped worker wave and the grace spill
+    /// ≥ 1). At `1` (always the case on single-core hosts) every wave
+    /// has width one and runs in place; above `1`, scans of disk-backed
+    /// tables fan morsels out to a scoped worker wave and the grace spill
     /// partitions of hash joins and pipeline breakers run
-    /// partition-per-worker. Defaults to [`default_threads`].
+    /// partition-per-worker. In-memory scans are serial at any count.
+    /// Defaults to [`default_threads`].
     pub threads: usize,
     /// Memoize correlated `Apply` inner results by the outer row's
     /// correlation-binding values (default `true`). Duplicate bindings

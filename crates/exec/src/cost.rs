@@ -518,12 +518,19 @@ impl<'a> Estimator<'a> {
                 // their extent is cold in the buffer pool right now; a
                 // warm working set scans at in-memory cost.
                 let page_io = self.cold_page_io(table);
+                // Disk-backed scans are morsel-parallel: page faults and
+                // row decoding divide across the wave, and every row pays
+                // the exchange to reach the gather. In-memory scans run
+                // serially at any thread count.
+                let disk = self.catalog.table(table).is_ok_and(|t| t.is_disk_backed());
+                let work = if disk {
+                    self.parallel_work(rows + page_io, rows)
+                } else {
+                    rows + page_io
+                };
                 CostEstimate {
                     rows,
-                    // Scans are morsel-parallel: page faults and row
-                    // decoding divide across the wave; every row pays the
-                    // exchange to reach the gather.
-                    work: self.parallel_work(rows + page_io, rows),
+                    work,
                     resident: 0.0,
                 }
             }
@@ -1211,7 +1218,7 @@ fn rebuild_join(left: Plan, right: Plan, pred: ScalarExpr, kind: &JoinKind) -> P
 
 /// Render a physical plan with per-operator estimated rows — the
 /// `EXPLAIN` view of the cost model's predictions before execution.
-pub fn explain_with_estimates(phys: &PhysPlan, catalog: &Catalog) -> String {
+pub fn explain_with_estimates(phys: &PhysPlan, est: &Estimator<'_>) -> String {
     fn go(p: &PhysPlan, est: &Estimator<'_>, depth: usize, out: &mut String) {
         let rows = est.rows(&logical_view(p));
         out.push_str(&"  ".repeat(depth));
@@ -1224,9 +1231,8 @@ pub fn explain_with_estimates(phys: &PhysPlan, catalog: &Catalog) -> String {
             go(c, est, depth + 1, out);
         }
     }
-    let est = Estimator::new(catalog);
     let mut s = String::new();
-    go(phys, &est, 0, &mut s);
+    go(phys, est, 0, &mut s);
     s
 }
 
@@ -1460,10 +1466,26 @@ mod tests {
     fn parallel_fragments_divide_work_but_not_resident() {
         let cat = catalog();
         let scan = Plan::scan("BIG", "x");
+        // In-memory scans run serially at any thread count.
         let serial = Estimator::new(&cat).cost(&scan);
-        let par4 = Estimator::new(&cat).with_threads(4).cost(&scan);
-        // threads=1 is the identity.
         assert_eq!(Estimator::new(&cat).with_threads(1).cost(&scan), serial);
+        assert_eq!(Estimator::new(&cat).with_threads(4).cost(&scan), serial);
+        // Disk-backed scans run as morsel waves.
+        let path = std::env::temp_dir().join(format!(
+            "tmql-cost-parallel-scan-{}.tmdb",
+            std::process::id()
+        ));
+        let mut wal = path.clone().into_os_string();
+        wal.push(".wal");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&wal);
+        let mut disk = Catalog::open(&path, 16).unwrap();
+        disk.register(cat.table("BIG").unwrap().clone()).unwrap();
+        let serial = Estimator::new(&disk).cost(&scan);
+        let par4 = Estimator::new(&disk).with_threads(4).cost(&scan);
+        drop(disk);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&wal);
         assert_eq!(par4.rows, serial.rows, "cardinalities are thread-free");
         assert!(par4.work < serial.work, "scan work divides across workers");
         assert!(
@@ -1594,7 +1616,7 @@ mod tests {
         // Same shape: one select, one join, two scans.
         assert_eq!(view.size(), plan.size());
         assert!(view.any_node(&mut |n| matches!(n, Plan::Join { .. })));
-        let s = explain_with_estimates(&phys, &cat);
+        let s = explain_with_estimates(&phys, &Estimator::new(&cat));
         assert!(s.contains("est_rows="), "{s}");
     }
 }

@@ -1,10 +1,12 @@
 //! The exchange primitive of morsel-driven parallel execution.
 //!
 //! Parallelism in this executor is **wave-shaped**: an operator that has a
-//! set of independent work items (scan morsels, grace-hash partitions,
-//! breaker partitions) fans them out to a scoped pool of worker threads
-//! with [`scatter`] and gathers the results **in item order** before
-//! continuing. Workers borrow the physical plan and the catalog (both are
+//! set of independent work items fans them out to a scoped pool of worker
+//! threads with [`scatter`] and gathers the results **in item order**
+//! before continuing. There are two callers: the grace driver
+//! ([`crate::op::spill::Grace`]), whose items are spilled partitions of
+//! any breaker, and the scan of a disk-backed table, whose items are
+//! morsels. Workers borrow the physical plan and the catalog (both are
 //! shared immutably), clone the correlation [`tmql_algebra::Env`] they
 //! need, and accumulate into worker-local
 //! [`Metrics`](crate::metrics::Metrics) that the caller merges via
@@ -12,10 +14,10 @@
 //! parallelism.
 //!
 //! Because results are gathered in item order and waves are issued in the
-//! same order as the serial loops they replace, parallel execution emits
-//! rows in **exactly the serial order**. Determinism does not depend on
-//! this (query results are a multiset — see the ordering contract in
-//! `docs/architecture.md`), but it keeps differential testing trivial.
+//! same order at every width, parallel execution emits rows in **exactly
+//! the serial order**. Determinism does not depend on this (query results
+//! are a multiset — see the ordering contract in `docs/architecture.md`),
+//! but it keeps differential testing trivial.
 //!
 //! [`scatter`] uses [`std::thread::scope`], so a wave is fully contained
 //! inside one `next_batch` call: no worker outlives the operator's borrow

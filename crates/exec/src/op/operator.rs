@@ -31,11 +31,12 @@ use std::hash::{Hash, Hasher};
 use tmql_algebra::{eval, eval_predicate, Env, Plan, ScalarExpr};
 use tmql_model::{Record, Result, Value};
 use tmql_storage::spill::{RunReader, SpillFile};
+use tmql_storage::Table;
 
 use crate::exec::ExecContext;
 use crate::metrics::Metrics;
 use crate::op::exchange;
-use crate::op::spill::{self, Drained, PartFn, SpillDedup, MAX_REPARTITION_DEPTH};
+use crate::op::spill::{self, Drained, Grace, PartFn, Side, SpillDedup};
 use crate::op::{self, group, hash, merge, nl};
 use crate::physical::{JoinKind, PhysPlan};
 
@@ -319,7 +320,11 @@ fn value_part() -> PartFn<'static> {
 
 /// Pop up to `n` rows off a carry buffer as a batch (releasing them from
 /// the resident-row gauge), or `None` when the buffer is empty.
-fn pop_carry(carry: &mut VecDeque<Record>, n: usize, ctx: &mut ExecContext<'_>) -> Option<Batch> {
+pub(crate) fn pop_carry(
+    carry: &mut VecDeque<Record>,
+    n: usize,
+    ctx: &mut ExecContext<'_>,
+) -> Option<Batch> {
     if carry.is_empty() {
         return None;
     }
@@ -468,10 +473,25 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             residual: residual.as_ref(),
             kind,
             env: env.clone(),
-            build_part: keys_part(right_keys),
-            probe_part: keys_part(left_keys),
+            // Build rows are partition state; probe rows drive output.
+            // NULL build keys never match: drop them before they hit
+            // disk. NULL probe keys go to partition 0, where they probe
+            // empty and take the kind's dangling path.
+            grace: Grace::new(
+                vec![
+                    Side {
+                        part: keys_part(right_keys),
+                        drop_nullkey: true,
+                    },
+                    Side {
+                        part: keys_part(left_keys),
+                        drop_nullkey: false,
+                    },
+                ],
+                0..1,
+                1..2,
+            ),
             table: None,
-            grace: None,
             built: false,
             carry: VecDeque::new(),
             done: false,
@@ -484,92 +504,87 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             right_keys,
             residual,
             kind,
-        } => Box::new(BinaryBreaker {
-            name: format!("MergeJoin[{}]", kind.name()),
-            left: build(left, env),
-            right: build(right, env),
-            env: env.clone(),
-            kernel: Box::new(move |l, r, env, m| {
-                merge::join(l, r, left_keys, right_keys, residual.as_ref(), kind, env, m)
+        } => Breaker::boxed(
+            format!("MergeJoin[{}]", kind.name()),
+            vec![
+                (build(left, env), keys_part(left_keys)),
+                (build(right, env), keys_part(right_keys)),
+            ],
+            env,
+            Box::new(move |ins, env, m| {
+                merge::join(
+                    &ins[0],
+                    &ins[1],
+                    left_keys,
+                    right_keys,
+                    residual.as_ref(),
+                    kind,
+                    env,
+                    m,
+                )
             }),
-            left_part: keys_part(left_keys),
-            right_part: keys_part(right_keys),
-            out: None,
-            grace: None,
-            done: false,
-            stats: OpStats::default(),
-        }),
+        ),
         PhysPlan::Nest {
             input,
             keys,
             value,
             label,
             star,
-        } => Box::new(UnaryBreaker {
-            name: if *star { "Nest[ν*]" } else { "Nest[ν]" }.into(),
-            child: build(input, env),
-            env: env.clone(),
-            kernel: Box::new(move |rows, env, m| {
-                group::nest(rows, keys, value, label, *star, env, m)
-            }),
+        } => Breaker::boxed(
+            if *star { "Nest[ν*]" } else { "Nest[ν]" }.into(),
             // Groups co-partition by the hash of the grouping fields.
-            part: Box::new(move |r, _env, seed| {
-                let mut h = spill::seed_hasher(seed);
-                for k in keys {
-                    r.get(k)?.hash(&mut h);
-                }
-                Ok(Some(h.finish()))
-            }),
-            out: None,
-            grace: None,
-            done: false,
-            stats: OpStats::default(),
-        }),
+            vec![(
+                build(input, env),
+                Box::new(move |r, _env, seed| {
+                    let mut h = spill::seed_hasher(seed);
+                    for k in keys {
+                        r.get(k)?.hash(&mut h);
+                    }
+                    Ok(Some(h.finish()))
+                }),
+            )],
+            env,
+            Box::new(move |ins, env, m| group::nest(&ins[0], keys, value, label, *star, env, m)),
+        ),
         PhysPlan::GroupAgg {
             input,
             keys,
             aggs,
             var,
-        } => Box::new(UnaryBreaker {
-            name: "GroupAgg".into(),
-            child: build(input, env),
-            env: env.clone(),
-            kernel: Box::new(move |rows, env, m| group::group_agg(rows, keys, aggs, var, env, m)),
-            part: Box::new(move |r, env, seed| {
-                let mut h = spill::seed_hasher(seed);
-                op::with_row(env, r, |e| {
-                    for (_, ke) in keys {
-                        eval(ke, e)?.hash(&mut h);
-                    }
-                    Ok(())
-                })?;
-                Ok(Some(h.finish()))
-            }),
-            out: None,
-            grace: None,
-            done: false,
-            stats: OpStats::default(),
-        }),
+        } => Breaker::boxed(
+            "GroupAgg".into(),
+            vec![(
+                build(input, env),
+                Box::new(move |r, env, seed| {
+                    let mut h = spill::seed_hasher(seed);
+                    op::with_row(env, r, |e| {
+                        for (_, ke) in keys {
+                            eval(ke, e)?.hash(&mut h);
+                        }
+                        Ok(())
+                    })?;
+                    Ok(Some(h.finish()))
+                }),
+            )],
+            env,
+            Box::new(move |ins, env, m| group::group_agg(&ins[0], keys, aggs, var, env, m)),
+        ),
         PhysPlan::SetOp {
             kind,
             left,
             right,
             var,
-        } => Box::new(BinaryBreaker {
-            name: "SetOp".into(),
-            left: build(left, env),
-            right: build(right, env),
-            env: env.clone(),
-            kernel: Box::new(move |l, r, _env, m| group::set_op(*kind, l, r, var, m)),
+        } => Breaker::boxed(
+            "SetOp".into(),
             // Equal output values co-partition, so per-partition
             // union/intersect/except concatenate to the global result.
-            left_part: value_part(),
-            right_part: value_part(),
-            out: None,
-            grace: None,
-            done: false,
-            stats: OpStats::default(),
-        }),
+            vec![
+                (build(left, env), value_part()),
+                (build(right, env), value_part()),
+            ],
+            env,
+            Box::new(move |ins, _env, m| group::set_op(*kind, &ins[0], &ins[1], var, m)),
+        ),
         PhysPlan::Apply {
             input,
             subquery,
@@ -609,15 +624,17 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
 /// Cursor scan over a stored table; borrows one batch at a time via
 /// [`tmql_storage::Table::batch`], never cloning the whole extension.
 ///
-/// With [`ExecContext::threads`] > 1 the scan becomes morsel-driven: each
-/// refill issues one wave of `threads` consecutive row ranges (morsels) to
-/// scoped workers — disk-backed tables fault their pages in concurrently
-/// through the latch-based buffer pool — and gathers the results in range
-/// order into a carry queue, so emitted batches keep the exact serial
-/// order and sizes. Morsels are `⌈batch_size / threads⌉` rows each, so a
-/// wave holds roughly **one** batch in flight regardless of the worker
-/// count: `peak_resident_rows` stays bounded by `O(batch_size)` instead of
-/// growing as `threads × batch_size`.
+/// In-memory tables scan serially: a worker would only copy rows, and a
+/// wave costs more than the copy. A disk-backed table with
+/// [`ExecContext::threads`] > 1 scans morsel-driven: each refill issues
+/// one wave of `threads` consecutive row ranges (morsels) to scoped
+/// workers, which fault their pages in concurrently through the
+/// latch-based buffer pool, and gathers the results in range order into a
+/// carry queue, so emitted rows keep the exact serial order. Morsels are
+/// `⌈batch_size / threads⌉` rows each, so a wave holds roughly **one**
+/// batch in flight regardless of the worker count: `peak_resident_rows`
+/// stays bounded by `O(batch_size)` instead of growing as
+/// `threads × batch_size`.
 struct ScanTableOp<'p> {
     table: &'p str,
     var: &'p str,
@@ -625,6 +642,15 @@ struct ScanTableOp<'p> {
     carry: VecDeque<Record>,
     exhausted: bool,
     stats: OpStats,
+}
+
+/// Rows `start..start + n` of `table`, each bound to `var`.
+fn scan_rows(table: &Table, var: &str, start: usize, n: usize) -> Result<Vec<Record>> {
+    table
+        .batch(start, n)?
+        .into_iter()
+        .map(|row| Record::new([(var.to_string(), Value::Tuple(row))]))
+        .collect()
 }
 
 impl Operator for ScanTableOp<'_> {
@@ -643,17 +669,11 @@ impl Operator for ScanTableOp<'_> {
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         let n = ctx.batch_size();
         let threads = ctx.threads();
-        if threads <= 1 {
-            let t = ctx.catalog.table(self.table)?;
-            // Owned batches: in-memory tables clone the slice; disk-backed
-            // tables stream the needed pages through the buffer pool.
-            let chunk = t.batch(self.pos, n)?;
-            if chunk.is_empty() {
+        let t = ctx.catalog.table(self.table)?;
+        if threads <= 1 || !t.is_disk_backed() {
+            let rows = scan_rows(t, self.var, self.pos, n)?;
+            if rows.is_empty() {
                 return Ok(None);
-            }
-            let mut rows = Vec::with_capacity(chunk.len());
-            for row in chunk {
-                rows.push(Record::new([(self.var.to_string(), Value::Tuple(row))])?);
             }
             self.pos += rows.len();
             ctx.metrics.rows_scanned += rows.len() as u64;
@@ -668,18 +688,10 @@ impl Operator for ScanTableOp<'_> {
             }
             // One wave: `threads` consecutive morsels totalling about one
             // batch, gathered in order.
-            let t = ctx.catalog.table(self.table)?;
             let var = self.var;
             let m = n.div_ceil(threads).max(1);
             let starts: Vec<usize> = (0..threads).map(|i| self.pos + i * m).collect();
-            let results = exchange::scatter(threads, starts, |start| -> Result<Vec<Record>> {
-                let chunk = t.batch(start, m)?;
-                let mut rows = Vec::with_capacity(chunk.len());
-                for row in chunk {
-                    rows.push(Record::new([(var.to_string(), Value::Tuple(row))])?);
-                }
-                Ok(rows)
-            });
+            let results = exchange::scatter(threads, starts, |start| scan_rows(t, var, start, m));
             for res in results {
                 let rows = res?;
                 if rows.len() < m {
@@ -1028,14 +1040,7 @@ impl Operator for MapOp<'_> {
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         loop {
             if self.sealed {
-                let out = self
-                    .dedup
-                    .next_deferred(ctx.batch_size(), ctx, &mut self.stats)?;
-                return Ok(if out.is_empty() {
-                    None
-                } else {
-                    Some(Batch::new(out))
-                });
+                return self.dedup.next_deferred(ctx, &mut self.stats);
             }
             match self.child.pull(ctx)? {
                 None => {
@@ -1158,14 +1163,7 @@ impl Operator for ProjectOp<'_> {
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         loop {
             if self.sealed {
-                let out = self
-                    .dedup
-                    .next_deferred(ctx.batch_size(), ctx, &mut self.stats)?;
-                return Ok(if out.is_empty() {
-                    None
-                } else {
-                    Some(Batch::new(out))
-                });
+                return self.dedup.next_deferred(ctx, &mut self.stats);
             }
             match self.child.pull(ctx)? {
                 None => {
@@ -1603,27 +1601,12 @@ impl Operator for IndexNLJoinOp<'_> {
     }
 }
 
-/// Grace-hash-join state: build/probe partition pairs still to process,
-/// and the partition currently being probed.
-struct GraceJoin {
-    /// (build, probe, depth) triples, processed front to back.
-    parts: VecDeque<(SpillFile, SpillFile, usize)>,
-    cur: Option<GracePart>,
-}
-
-struct GracePart {
-    table: hash::HashTable,
-    reader: RunReader,
-    /// Keeps the probe run alive while its reader streams.
-    _file: SpillFile,
-}
-
 /// Hash join: the build side (right) is the pipeline breaker; the probe
 /// side (left) streams. Under a memory budget the build switches to
 /// **grace hash**: both sides hash-partition to spill files on the join
-/// key, then each partition joins independently (an in-memory build over
-/// the partition's build rows, batch-streamed probes from its probe run),
-/// with oversized partitions recursively repartitioned under a fresh seed.
+/// key, then the [`Grace`] driver joins each partition independently (an
+/// in-memory build over the partition's build rows, probed by its probe
+/// run).
 struct HashJoinOp<'p> {
     left: BoxedOperator<'p>,
     right: BoxedOperator<'p>,
@@ -1632,10 +1615,9 @@ struct HashJoinOp<'p> {
     residual: Option<&'p ScalarExpr>,
     kind: &'p JoinKind,
     env: Env,
-    build_part: PartFn<'p>,
-    probe_part: PartFn<'p>,
+    /// Sides: build (0), probe (1).
+    grace: Grace<'p>,
     table: Option<hash::HashTable>,
-    grace: Option<GraceJoin>,
     built: bool,
     carry: VecDeque<Record>,
     done: bool,
@@ -1648,17 +1630,8 @@ impl Operator for HashJoinOp<'_> {
     }
 
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        if let Some(t) = self.table.take() {
-            ctx.resident_release(t.len());
-        }
-        if let Some(g) = self.grace.take() {
-            if let Some(cur) = g.cur {
-                ctx.resident_release(cur.table.len());
-            }
-        }
+        self.close_state(ctx);
         self.built = false;
-        ctx.resident_release(self.carry.len());
-        self.carry.clear();
         self.done = false;
         self.left.open_timed(ctx)?;
         self.right.open_timed(ctx)
@@ -1666,12 +1639,13 @@ impl Operator for HashJoinOp<'_> {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         if !self.built {
+            self.built = true;
+            let build_side = self.grace.side(0);
             match spill::drain_or_spill(
                 &mut self.right,
                 ctx,
                 &mut self.env,
-                &self.build_part,
-                true, // NULL keys never match: drop them before they hit disk
+                build_side,
                 &mut self.stats,
             )? {
                 Drained::Mem(r) => {
@@ -1683,28 +1657,32 @@ impl Operator for HashJoinOp<'_> {
                     ctx.resident_release(n_in - table.len());
                     self.table = Some(table);
                 }
-                Drained::Spilled(build_files) => {
-                    // Grace mode: the probe side must partition the same
-                    // way (NULL-key probe rows go to partition 0, where
-                    // they probe empty and take the kind's dangling path).
-                    let probe_files = spill::spill_stream(
+                Drained::Spilled(build_runs) => {
+                    let probe_side = self.grace.side(1);
+                    let probe_runs = spill::spill_stream(
                         &mut self.left,
                         ctx,
                         &mut self.env,
-                        &self.probe_part,
-                        false,
+                        probe_side,
                         &mut self.stats,
                     )?;
-                    let parts = build_files
-                        .into_iter()
-                        .zip(probe_files)
-                        .map(|(b, p)| (b, p, 1))
-                        .collect();
-                    self.grace = Some(GraceJoin { parts, cur: None });
+                    self.grace.engage(vec![build_runs, probe_runs]);
                 }
             }
-            self.built = true;
         }
+        let Some(table) = self.table.as_ref() else {
+            let (left_keys, right_keys) = (self.left_keys, self.right_keys);
+            let (residual, kind) = (self.residual, self.kind);
+            let kernel = |runs: &[SpillFile], env: &mut Env, m: &mut Metrics| {
+                let table = hash::build(runs[0].reader()?.read_all()?, right_keys, env, m)?;
+                let probe = runs[1].reader()?.read_all()?;
+                hash::probe(&probe, &table, left_keys, residual, kind, env, m)
+            };
+            return self
+                .grace
+                .next_batch(&kernel, ctx, &mut self.env, &mut self.stats);
+        };
+        // In-memory path: stream probe batches from the left child.
         let n = ctx.batch_size();
         loop {
             if self.carry.len() >= n || (self.done && !self.carry.is_empty()) {
@@ -1713,210 +1691,27 @@ impl Operator for HashJoinOp<'_> {
             if self.done {
                 return Ok(None);
             }
-            if let Some(table) = self.table.as_ref() {
-                // In-memory path: stream probe batches from the left child.
-                match self.left.pull(ctx)? {
-                    None => self.done = true,
-                    Some(b) => {
-                        let out = hash::probe(
-                            &b.rows,
-                            table,
-                            self.left_keys,
-                            self.residual,
-                            self.kind,
-                            &mut self.env,
-                            &mut ctx.metrics,
-                        )?;
-                        ctx.resident_acquire(out.len());
-                        self.carry.extend(out);
-                    }
-                }
-                continue;
-            }
-            if ctx.threads() > 1 {
-                // Parallel grace: collect a wave of ready partitions
-                // (repartitioning skewed ones first, exactly like the
-                // serial path) and join them partition-per-worker. Waves
-                // are budget-capped — concurrent build tables are summed
-                // resident state — but always take at least one partition.
-                let mut wave: Vec<(SpillFile, SpillFile)> = Vec::new();
-                let mut wave_rows: u64 = 0;
-                while wave.len() < ctx.threads() {
-                    let next = self
-                        .grace
-                        .as_mut()
-                        .expect("grace mode engaged")
-                        .parts
-                        .pop_front();
-                    let Some((bf, pf, depth)) = next else { break };
-                    if ctx.over_budget(bf.rows() as usize)
-                        && depth < MAX_REPARTITION_DEPTH
-                        && bf.rows() > 1
-                    {
-                        let seed = depth as u64;
-                        let nb = spill::repartition(
-                            bf,
-                            ctx,
-                            &mut self.env,
-                            &self.build_part,
-                            seed,
-                            true,
-                            &mut self.stats,
-                        )?;
-                        let np = spill::repartition(
-                            pf,
-                            ctx,
-                            &mut self.env,
-                            &self.probe_part,
-                            seed,
-                            false,
-                            &mut self.stats,
-                        )?;
-                        let g = self.grace.as_mut().expect("still grace");
-                        for (b2, p2) in nb.into_iter().zip(np).rev() {
-                            g.parts.push_front((b2, p2, depth + 1));
-                        }
-                        continue;
-                    }
-                    if pf.is_empty() {
-                        continue;
-                    }
-                    if !wave.is_empty() && ctx.over_budget((wave_rows + bf.rows()) as usize) {
-                        let g = self.grace.as_mut().expect("still grace");
-                        g.parts.push_front((bf, pf, depth));
-                        break;
-                    }
-                    wave_rows += bf.rows();
-                    wave.push((bf, pf));
-                }
-                if wave.is_empty() {
-                    self.done = true;
-                    continue;
-                }
-                ctx.resident_acquire(wave_rows as usize);
-                let (left_keys, right_keys) = (self.left_keys, self.right_keys);
-                let (residual, kind) = (self.residual, self.kind);
-                let base_env = &self.env;
-                let results = exchange::scatter(
-                    ctx.threads(),
-                    wave,
-                    |(bf, pf)| -> Result<(Vec<Record>, Metrics)> {
-                        let mut env = base_env.clone();
-                        let mut m = Metrics::new();
-                        let build_rows = bf.reader()?.read_all()?;
-                        let table = hash::build(build_rows, right_keys, &mut env, &mut m)?;
-                        let mut out = Vec::new();
-                        let mut reader = pf.reader()?;
-                        loop {
-                            let batch = reader.read_batch(n)?;
-                            if batch.is_empty() {
-                                break;
-                            }
-                            out.extend(hash::probe(
-                                &batch, &table, left_keys, residual, kind, &mut env, &mut m,
-                            )?);
-                        }
-                        Ok((out, m))
-                    },
-                );
-                ctx.resident_release(wave_rows as usize);
-                for res in results {
-                    let (out, m) = res?;
-                    ctx.metrics += m;
+            match self.left.pull(ctx)? {
+                None => self.done = true,
+                Some(b) => {
+                    let out = hash::probe(
+                        &b.rows,
+                        table,
+                        self.left_keys,
+                        self.residual,
+                        self.kind,
+                        &mut self.env,
+                        &mut ctx.metrics,
+                    )?;
                     ctx.resident_acquire(out.len());
                     self.carry.extend(out);
-                }
-                continue;
-            }
-            // Grace path: stream probe batches from the current
-            // partition's run, loading the next partition as needed.
-            let g = self.grace.as_mut().expect("grace mode engaged");
-            if let Some(cur) = g.cur.as_mut() {
-                let batch = cur.reader.read_batch(n)?;
-                if batch.is_empty() {
-                    ctx.resident_release(cur.table.len());
-                    g.cur = None;
-                    continue;
-                }
-                let out = hash::probe(
-                    &batch,
-                    &cur.table,
-                    self.left_keys,
-                    self.residual,
-                    self.kind,
-                    &mut self.env,
-                    &mut ctx.metrics,
-                )?;
-                ctx.resident_acquire(out.len());
-                self.carry.extend(out);
-                continue;
-            }
-            match g.parts.pop_front() {
-                None => self.done = true,
-                Some((bf, pf, depth)) => {
-                    if ctx.over_budget(bf.rows() as usize)
-                        && depth < MAX_REPARTITION_DEPTH
-                        && bf.rows() > 1
-                    {
-                        // Skewed partition: re-split both sides with the
-                        // next seed so equal keys stay paired.
-                        let seed = depth as u64;
-                        let nb = spill::repartition(
-                            bf,
-                            ctx,
-                            &mut self.env,
-                            &self.build_part,
-                            seed,
-                            true,
-                            &mut self.stats,
-                        )?;
-                        let np = spill::repartition(
-                            pf,
-                            ctx,
-                            &mut self.env,
-                            &self.probe_part,
-                            seed,
-                            false,
-                            &mut self.stats,
-                        )?;
-                        let g = self.grace.as_mut().expect("still grace");
-                        for (b2, p2) in nb.into_iter().zip(np).rev() {
-                            g.parts.push_front((b2, p2, depth + 1));
-                        }
-                        continue;
-                    }
-                    if pf.is_empty() {
-                        // Every join kind emits per probe row (or pair);
-                        // no probe rows means no output from this part.
-                        continue;
-                    }
-                    let build_rows = bf.reader()?.read_all()?;
-                    let table =
-                        hash::build(build_rows, self.right_keys, &mut self.env, &mut ctx.metrics)?;
-                    ctx.resident_acquire(table.len());
-                    let reader = pf.reader()?;
-                    let g = self.grace.as_mut().expect("still grace");
-                    g.cur = Some(GracePart {
-                        table,
-                        reader,
-                        _file: pf,
-                    });
                 }
             }
         }
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        if let Some(t) = self.table.take() {
-            ctx.resident_release(t.len());
-        }
-        if let Some(g) = self.grace.take() {
-            if let Some(cur) = g.cur {
-                ctx.resident_release(cur.table.len());
-            }
-        }
-        ctx.resident_release(self.carry.len());
-        self.carry.clear();
+        self.close_state(ctx);
         self.left.close_timed(ctx);
         self.right.close_timed(ctx);
     }
@@ -1937,6 +1732,18 @@ impl Operator for HashJoinOp<'_> {
 
     fn children(&self) -> Vec<&dyn Operator> {
         vec![self.left.as_ref(), self.right.as_ref()]
+    }
+}
+
+impl HashJoinOp<'_> {
+    /// Release the build table, the carry and every grace partition.
+    fn close_state(&mut self, ctx: &mut ExecContext<'_>) {
+        if let Some(t) = self.table.take() {
+            ctx.resident_release(t.len());
+        }
+        ctx.resident_release(self.carry.len());
+        self.carry.clear();
+        self.grace.reset(ctx);
     }
 }
 
@@ -1944,202 +1751,161 @@ impl Operator for HashJoinOp<'_> {
 // Pipeline breakers (generic over the materialized kernel)
 // ---------------------------------------------------------------------------
 
-/// Materialized kernel of a one-input breaker. `Fn + Send + Sync` so a
-/// parallel wave can run it concurrently over several spill partitions —
-/// all mutable state (env, metrics) comes in through the arguments.
-type UnaryKernel<'p> =
-    Box<dyn Fn(&[Record], &mut Env, &mut Metrics) -> Result<Vec<Record>> + Send + Sync + 'p>;
+/// Materialized kernel of a breaker: every input's rows in, in input
+/// order. `Fn + Sync` so a wave can run it concurrently over several spill
+/// partitions — all mutable state (env, metrics) comes in through the
+/// arguments.
+type Kernel<'p> =
+    Box<dyn Fn(&[Vec<Record>], &mut Env, &mut Metrics) -> Result<Vec<Record>> + Sync + 'p>;
 
-/// A one-input pipeline breaker: drains its child, runs a materialized
-/// kernel (ν / ν* / GROUP BY), then re-emits the result in batches.
+/// A pipeline breaker over one or two inputs: drains them, runs a
+/// materialized kernel (ν / ν* / GROUP BY over one input; sort-merge join
+/// or set operation over two), then re-emits the result in batches.
 ///
-/// Under a memory budget the drain switches to partitioned spill on the
-/// operator's grouping key ([`spill::drain_or_spill`]); the kernel then
-/// runs once per partition — grouping keys co-partition, so per-partition
-/// outputs concatenate to the in-memory result (up to emission order,
-/// which set semantics absorbs).
-struct UnaryBreaker<'p> {
+/// Under a memory budget each input partitions on a key that co-locates
+/// every interacting row (grouping keys, equi-join keys, whole output
+/// values for set operations), and the [`Grace`] driver runs the kernel
+/// per partition; per-partition outputs concatenate to the in-memory
+/// result (up to emission order, which set semantics absorbs). The budget
+/// bounds the inputs' *combined* state, so two individually fitting
+/// inputs still spill when their sum overflows; an input already buffered
+/// in memory is then partitioned post hoc so the pairing stays aligned.
+struct Breaker<'p> {
     name: String,
-    child: BoxedOperator<'p>,
+    inputs: Vec<BoxedOperator<'p>>,
     env: Env,
-    kernel: UnaryKernel<'p>,
-    part: PartFn<'p>,
-    out: Option<VecDeque<Record>>,
-    grace: Option<VecDeque<(SpillFile, usize)>>,
-    done: bool,
+    kernel: Kernel<'p>,
+    grace: Grace<'p>,
+    drained: bool,
     stats: OpStats,
 }
 
-impl Operator for UnaryBreaker<'_> {
+impl<'p> Breaker<'p> {
+    /// A breaker over `inputs`, each with its partition-key function.
+    fn boxed(
+        name: String,
+        inputs: Vec<(BoxedOperator<'p>, PartFn<'p>)>,
+        env: &Env,
+        kernel: Kernel<'p>,
+    ) -> BoxedOperator<'p> {
+        let (inputs, sides): (Vec<_>, Vec<_>) = inputs
+            .into_iter()
+            .map(|(op, part)| {
+                let side = Side {
+                    part,
+                    drop_nullkey: false,
+                };
+                (op, side)
+            })
+            .unzip();
+        let all = 0..sides.len();
+        Box::new(Breaker {
+            name,
+            inputs,
+            env: env.clone(),
+            kernel,
+            grace: Grace::new(sides, all.clone(), all),
+            drained: false,
+            stats: OpStats::default(),
+        })
+    }
+
+    /// Drain every input, then run the kernel in memory or hand the
+    /// partitioned inputs to the grace driver.
+    fn drain_inputs(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+        let mut drained = Vec::with_capacity(self.inputs.len());
+        for (i, input) in self.inputs.iter_mut().enumerate() {
+            let side = self.grace.side(i);
+            drained.push(spill::drain_or_spill(
+                input,
+                ctx,
+                &mut self.env,
+                side,
+                &mut self.stats,
+            )?);
+        }
+        let in_mem: usize = drained
+            .iter()
+            .map(|d| match d {
+                Drained::Mem(rows) => rows.len(),
+                Drained::Spilled(_) => 0,
+            })
+            .sum();
+        if drained.iter().all(|d| matches!(d, Drained::Mem(_))) && !ctx.over_budget(in_mem) {
+            let inputs: Vec<Vec<Record>> = drained
+                .into_iter()
+                .map(|d| match d {
+                    Drained::Mem(rows) => rows,
+                    Drained::Spilled(_) => unreachable!("all inputs are in memory"),
+                })
+                .collect();
+            let out = (self.kernel)(&inputs, &mut self.env, &mut ctx.metrics)?;
+            ctx.resident_acquire(out.len());
+            ctx.resident_release(in_mem);
+            self.grace.hold(out);
+            return Ok(());
+        }
+        let mut runs = Vec::with_capacity(drained.len());
+        for (i, d) in drained.into_iter().enumerate() {
+            runs.push(match d {
+                Drained::Spilled(files) => files,
+                Drained::Mem(rows) => {
+                    let n = rows.len();
+                    let side = self.grace.side(i);
+                    let files = spill::spill_rows(rows, ctx, &mut self.env, side, &mut self.stats)?;
+                    ctx.resident_release(n);
+                    files
+                }
+            });
+        }
+        self.grace.engage(runs);
+        Ok(())
+    }
+}
+
+impl Operator for Breaker<'_> {
     fn label(&self) -> String {
         self.name.clone()
     }
 
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        if let Some(out) = self.out.take() {
-            ctx.resident_release(out.len());
+        self.grace.reset(ctx);
+        self.drained = false;
+        for input in &mut self.inputs {
+            input.open_timed(ctx)?;
         }
-        self.grace = None;
-        self.done = false;
-        self.child.open_timed(ctx)
+        Ok(())
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        loop {
-            if let Some(out) = self.out.as_mut() {
-                if let Some(b) = pop_carry(out, ctx.batch_size(), ctx) {
-                    return Ok(Some(b));
-                }
-                self.out = None;
-                if self.grace.is_none() {
-                    self.done = true;
-                }
-            }
-            if self.done {
-                return Ok(None);
-            }
-            if self.grace.is_none() {
-                match spill::drain_or_spill(
-                    &mut self.child,
-                    ctx,
-                    &mut self.env,
-                    &self.part,
-                    false,
-                    &mut self.stats,
-                )? {
-                    Drained::Mem(input) => {
-                        let out = (self.kernel)(&input, &mut self.env, &mut ctx.metrics)?;
-                        ctx.resident_acquire(out.len());
-                        ctx.resident_release(input.len());
-                        drop(input);
-                        self.out = Some(out.into());
-                        continue;
-                    }
-                    Drained::Spilled(files) => {
-                        self.grace = Some(files.into_iter().map(|f| (f, 1)).collect());
-                    }
-                }
-            }
-            if ctx.threads() > 1 {
-                // Parallel grace: one kernel invocation per partition on a
-                // worker wave, outputs gathered in partition order (the
-                // exact serial emission order). Budget-capped, ≥ 1 per wave.
-                let mut wave: Vec<SpillFile> = Vec::new();
-                let mut wave_rows: u64 = 0;
-                while wave.len() < ctx.threads() {
-                    let next = self.grace.as_mut().expect("grace mode engaged").pop_front();
-                    let Some((file, depth)) = next else { break };
-                    if ctx.over_budget(file.rows() as usize)
-                        && depth < MAX_REPARTITION_DEPTH
-                        && file.rows() > 1
-                    {
-                        let subs = spill::repartition(
-                            file,
-                            ctx,
-                            &mut self.env,
-                            &self.part,
-                            depth as u64,
-                            false,
-                            &mut self.stats,
-                        )?;
-                        let g = self.grace.as_mut().expect("still grace");
-                        for f in subs.into_iter().rev() {
-                            g.push_front((f, depth + 1));
-                        }
-                        continue;
-                    }
-                    if file.is_empty() {
-                        continue;
-                    }
-                    if !wave.is_empty() && ctx.over_budget((wave_rows + file.rows()) as usize) {
-                        let g = self.grace.as_mut().expect("still grace");
-                        g.push_front((file, depth));
-                        break;
-                    }
-                    wave_rows += file.rows();
-                    wave.push(file);
-                }
-                if wave.is_empty() {
-                    self.done = true;
-                    return Ok(None);
-                }
-                ctx.resident_acquire(wave_rows as usize);
-                let base_env = &self.env;
-                let kernel = &self.kernel;
-                let results = exchange::scatter(
-                    ctx.threads(),
-                    wave,
-                    |file| -> Result<(Vec<Record>, Metrics)> {
-                        let mut env = base_env.clone();
-                        let mut m = Metrics::new();
-                        let input = file.reader()?.read_all()?;
-                        let out = (kernel)(&input, &mut env, &mut m)?;
-                        Ok((out, m))
-                    },
-                );
-                ctx.resident_release(wave_rows as usize);
-                let mut combined: VecDeque<Record> = VecDeque::new();
-                for res in results {
-                    let (rows, m) = res?;
-                    ctx.metrics += m;
-                    ctx.resident_acquire(rows.len());
-                    combined.extend(rows);
-                }
-                self.out = Some(combined);
-                continue;
-            }
-            // Grace mode: run the kernel over the next partition.
-            let g = self.grace.as_mut().expect("grace mode engaged");
-            match g.pop_front() {
-                None => {
-                    self.done = true;
-                    return Ok(None);
-                }
-                Some((file, depth)) => {
-                    if ctx.over_budget(file.rows() as usize)
-                        && depth < MAX_REPARTITION_DEPTH
-                        && file.rows() > 1
-                    {
-                        let subs = spill::repartition(
-                            file,
-                            ctx,
-                            &mut self.env,
-                            &self.part,
-                            depth as u64,
-                            false,
-                            &mut self.stats,
-                        )?;
-                        let g = self.grace.as_mut().expect("still grace");
-                        for f in subs.into_iter().rev() {
-                            g.push_front((f, depth + 1));
-                        }
-                        continue;
-                    }
-                    if file.is_empty() {
-                        continue;
-                    }
-                    let input = file.reader()?.read_all()?;
-                    ctx.resident_acquire(input.len());
-                    let out = (self.kernel)(&input, &mut self.env, &mut ctx.metrics)?;
-                    ctx.resident_acquire(out.len());
-                    ctx.resident_release(input.len());
-                    self.out = Some(out.into());
-                }
-            }
+        if !self.drained {
+            self.drained = true;
+            self.drain_inputs(ctx)?;
         }
+        let kernel = &self.kernel;
+        let run_kernel = |runs: &[SpillFile], env: &mut Env, m: &mut Metrics| {
+            let inputs = runs
+                .iter()
+                .map(|run| run.reader()?.read_all())
+                .collect::<Result<Vec<_>>>()?;
+            kernel(&inputs, env, m)
+        };
+        self.grace
+            .next_batch(&run_kernel, ctx, &mut self.env, &mut self.stats)
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        if let Some(out) = self.out.take() {
-            ctx.resident_release(out.len());
+        self.grace.reset(ctx);
+        for input in &mut self.inputs {
+            input.close_timed(ctx);
         }
-        self.grace = None;
-        self.child.close_timed(ctx);
     }
 
     fn rebind(&mut self, env: &Env) {
         self.env = env.clone();
-        self.child.rebind(env);
+        for input in &mut self.inputs {
+            input.rebind(env);
+        }
     }
 
     fn stats(&self) -> OpStats {
@@ -2151,290 +1917,7 @@ impl Operator for UnaryBreaker<'_> {
     }
 
     fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.child.as_ref()]
-    }
-}
-
-/// Materialized kernel of a two-input breaker (see [`UnaryKernel`] for the
-/// `Fn + Send + Sync` rationale).
-type BinaryKernel<'p> = Box<
-    dyn Fn(&[Record], &[Record], &mut Env, &mut Metrics) -> Result<Vec<Record>> + Send + Sync + 'p,
->;
-
-/// A two-input pipeline breaker: drains both children, runs a materialized
-/// kernel (sort-merge join, set operation), then re-emits in batches.
-///
-/// Under a memory budget both operands partition on keys that co-locate
-/// every interacting pair of rows (equi-join keys; whole output values for
-/// set operations), and the kernel runs per partition pair. If only the
-/// second operand overflows, the already-buffered first operand is
-/// partitioned post hoc so the pairing stays aligned.
-struct BinaryBreaker<'p> {
-    name: String,
-    left: BoxedOperator<'p>,
-    right: BoxedOperator<'p>,
-    env: Env,
-    kernel: BinaryKernel<'p>,
-    left_part: PartFn<'p>,
-    right_part: PartFn<'p>,
-    out: Option<VecDeque<Record>>,
-    grace: Option<VecDeque<(SpillFile, SpillFile, usize)>>,
-    done: bool,
-    stats: OpStats,
-}
-
-impl Operator for BinaryBreaker<'_> {
-    fn label(&self) -> String {
-        self.name.clone()
-    }
-
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        if let Some(out) = self.out.take() {
-            ctx.resident_release(out.len());
-        }
-        self.grace = None;
-        self.done = false;
-        self.left.open_timed(ctx)?;
-        self.right.open_timed(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        loop {
-            if let Some(out) = self.out.as_mut() {
-                if let Some(b) = pop_carry(out, ctx.batch_size(), ctx) {
-                    return Ok(Some(b));
-                }
-                self.out = None;
-                if self.grace.is_none() {
-                    self.done = true;
-                }
-            }
-            if self.done {
-                return Ok(None);
-            }
-            if self.grace.is_none() {
-                let left = spill::drain_or_spill(
-                    &mut self.left,
-                    ctx,
-                    &mut self.env,
-                    &self.left_part,
-                    false,
-                    &mut self.stats,
-                )?;
-                let right = spill::drain_or_spill(
-                    &mut self.right,
-                    ctx,
-                    &mut self.env,
-                    &self.right_part,
-                    false,
-                    &mut self.stats,
-                )?;
-                match (left, right) {
-                    // The budget bounds the breaker's *combined* state, so
-                    // two individually-fitting operands must still spill
-                    // when their sum overflows.
-                    (Drained::Mem(l), Drained::Mem(r)) if !ctx.over_budget(l.len() + r.len()) => {
-                        let out = (self.kernel)(&l, &r, &mut self.env, &mut ctx.metrics)?;
-                        ctx.resident_acquire(out.len());
-                        ctx.resident_release(l.len() + r.len());
-                        drop((l, r));
-                        self.out = Some(out.into());
-                        continue;
-                    }
-                    (l, r) => {
-                        // At least one side spilled (or the sides only
-                        // overflow together): bring both to the same
-                        // partitioned form.
-                        let lf = match l {
-                            Drained::Spilled(files) => files,
-                            Drained::Mem(rows) => {
-                                let n = rows.len();
-                                let files = spill::spill_rows(
-                                    rows,
-                                    ctx,
-                                    &mut self.env,
-                                    &self.left_part,
-                                    false,
-                                    &mut self.stats,
-                                )?;
-                                ctx.resident_release(n);
-                                files
-                            }
-                        };
-                        let rf = match r {
-                            Drained::Spilled(files) => files,
-                            Drained::Mem(rows) => {
-                                let n = rows.len();
-                                let files = spill::spill_rows(
-                                    rows,
-                                    ctx,
-                                    &mut self.env,
-                                    &self.right_part,
-                                    false,
-                                    &mut self.stats,
-                                )?;
-                                ctx.resident_release(n);
-                                files
-                            }
-                        };
-                        self.grace = Some(lf.into_iter().zip(rf).map(|(a, b)| (a, b, 1)).collect());
-                    }
-                }
-            }
-            if ctx.threads() > 1 {
-                // Parallel grace: kernel per partition pair on a worker
-                // wave, outputs gathered in pair order. Budget-capped on
-                // the summed pair sizes, ≥ 1 pair per wave.
-                let mut wave: Vec<(SpillFile, SpillFile)> = Vec::new();
-                let mut wave_rows: u64 = 0;
-                while wave.len() < ctx.threads() {
-                    let next = self.grace.as_mut().expect("grace mode engaged").pop_front();
-                    let Some((lf, rf, depth)) = next else { break };
-                    let total = lf.rows() + rf.rows();
-                    if ctx.over_budget(total as usize) && depth < MAX_REPARTITION_DEPTH && total > 1
-                    {
-                        let seed = depth as u64;
-                        let nl = spill::repartition(
-                            lf,
-                            ctx,
-                            &mut self.env,
-                            &self.left_part,
-                            seed,
-                            false,
-                            &mut self.stats,
-                        )?;
-                        let nr = spill::repartition(
-                            rf,
-                            ctx,
-                            &mut self.env,
-                            &self.right_part,
-                            seed,
-                            false,
-                            &mut self.stats,
-                        )?;
-                        let g = self.grace.as_mut().expect("still grace");
-                        for (a, b) in nl.into_iter().zip(nr).rev() {
-                            g.push_front((a, b, depth + 1));
-                        }
-                        continue;
-                    }
-                    if lf.is_empty() && rf.is_empty() {
-                        continue;
-                    }
-                    if !wave.is_empty() && ctx.over_budget((wave_rows + total) as usize) {
-                        let g = self.grace.as_mut().expect("still grace");
-                        g.push_front((lf, rf, depth));
-                        break;
-                    }
-                    wave_rows += total;
-                    wave.push((lf, rf));
-                }
-                if wave.is_empty() {
-                    self.done = true;
-                    return Ok(None);
-                }
-                ctx.resident_acquire(wave_rows as usize);
-                let base_env = &self.env;
-                let kernel = &self.kernel;
-                let results = exchange::scatter(
-                    ctx.threads(),
-                    wave,
-                    |(lf, rf)| -> Result<(Vec<Record>, Metrics)> {
-                        let mut env = base_env.clone();
-                        let mut m = Metrics::new();
-                        let l = lf.reader()?.read_all()?;
-                        let r = rf.reader()?.read_all()?;
-                        let out = (kernel)(&l, &r, &mut env, &mut m)?;
-                        Ok((out, m))
-                    },
-                );
-                ctx.resident_release(wave_rows as usize);
-                let mut combined: VecDeque<Record> = VecDeque::new();
-                for res in results {
-                    let (rows, m) = res?;
-                    ctx.metrics += m;
-                    ctx.resident_acquire(rows.len());
-                    combined.extend(rows);
-                }
-                self.out = Some(combined);
-                continue;
-            }
-            // Grace mode: kernel per partition pair.
-            let g = self.grace.as_mut().expect("grace mode engaged");
-            match g.pop_front() {
-                None => {
-                    self.done = true;
-                    return Ok(None);
-                }
-                Some((lf, rf, depth)) => {
-                    let total = lf.rows() + rf.rows();
-                    if ctx.over_budget(total as usize) && depth < MAX_REPARTITION_DEPTH && total > 1
-                    {
-                        let seed = depth as u64;
-                        let nl = spill::repartition(
-                            lf,
-                            ctx,
-                            &mut self.env,
-                            &self.left_part,
-                            seed,
-                            false,
-                            &mut self.stats,
-                        )?;
-                        let nr = spill::repartition(
-                            rf,
-                            ctx,
-                            &mut self.env,
-                            &self.right_part,
-                            seed,
-                            false,
-                            &mut self.stats,
-                        )?;
-                        let g = self.grace.as_mut().expect("still grace");
-                        for (a, b) in nl.into_iter().zip(nr).rev() {
-                            g.push_front((a, b, depth + 1));
-                        }
-                        continue;
-                    }
-                    if lf.is_empty() && rf.is_empty() {
-                        continue;
-                    }
-                    let l = lf.reader()?.read_all()?;
-                    let r = rf.reader()?.read_all()?;
-                    ctx.resident_acquire(l.len() + r.len());
-                    let out = (self.kernel)(&l, &r, &mut self.env, &mut ctx.metrics)?;
-                    ctx.resident_acquire(out.len());
-                    ctx.resident_release(l.len() + r.len());
-                    self.out = Some(out.into());
-                }
-            }
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        if let Some(out) = self.out.take() {
-            ctx.resident_release(out.len());
-        }
-        self.grace = None;
-        self.left.close_timed(ctx);
-        self.right.close_timed(ctx);
-    }
-
-    fn rebind(&mut self, env: &Env) {
-        self.env = env.clone();
-        self.left.rebind(env);
-        self.right.rebind(env);
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.left.as_ref(), self.right.as_ref()]
+        self.inputs.iter().map(|input| input.as_ref()).collect()
     }
 }
 
@@ -2475,32 +1958,23 @@ mod tests {
             table: "X".into(),
             var: "x".into(),
         };
-        // Serial: the exact shape is pinned — full batches then the rest.
-        let mut ctx =
-            ExecContext::with_config(&cat, &ExecConfig::default().batch_size(3).threads(1));
-        let mut root = build(&plan, &Env::new());
-        root.open(&mut ctx).unwrap();
-        let mut sizes = Vec::new();
-        while let Some(b) = root.pull(&mut ctx).unwrap() {
-            assert!(!b.is_empty(), "operators never emit empty batches");
-            sizes.push(b.len());
+        // In-memory tables scan serially at any thread count, so the
+        // exact shape is pinned: full batches then the rest.
+        for threads in [1, 4] {
+            let config = ExecConfig::default().batch_size(3).threads(threads);
+            let mut ctx = ExecContext::with_config(&cat, &config);
+            let mut root = build(&plan, &Env::new());
+            root.open(&mut ctx).unwrap();
+            let mut sizes = Vec::new();
+            while let Some(b) = root.pull(&mut ctx).unwrap() {
+                assert!(!b.is_empty(), "operators never emit empty batches");
+                sizes.push(b.len());
+            }
+            root.close(&mut ctx);
+            assert_eq!(sizes, vec![3, 3, 3, 1], "threads={threads}");
+            assert_eq!(ctx.metrics.batches_emitted, 4, "threads={threads}");
+            assert_eq!(ctx.metrics.rows_scanned, 10, "threads={threads}");
         }
-        root.close(&mut ctx);
-        assert_eq!(sizes, vec![3, 3, 3, 1]);
-        assert_eq!(ctx.metrics.batches_emitted, 4);
-        assert_eq!(ctx.metrics.rows_scanned, 10);
-        // Parallel waves may cut differently (⌈batch/threads⌉-row
-        // morsels), but the cap and the row total are invariant.
-        let mut ctx =
-            ExecContext::with_config(&cat, &ExecConfig::default().batch_size(3).threads(4));
-        let mut root = build(&plan, &Env::new());
-        root.open(&mut ctx).unwrap();
-        while let Some(b) = root.pull(&mut ctx).unwrap() {
-            assert!(!b.is_empty(), "operators never emit empty batches");
-            assert!(b.len() <= 3, "batch overflows batch_size: {}", b.len());
-        }
-        root.close(&mut ctx);
-        assert_eq!(ctx.metrics.rows_scanned, 10);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! carrying more rows than the whole budget) the partition is processed in
 //! memory anyway — correctness first, the gauge records the overshoot.
 //!
-//! Three entry points cover the breaker shapes:
+//! Three entry points spill a breaker's input:
 //!
 //! * [`drain_or_spill`] — accumulate a child's stream in memory, switching
 //!   to partitioned spill the moment the budget is crossed (hash-join
@@ -25,18 +25,24 @@
 //! * [`SpillDedup`] — the hybrid dedup used by Map / Project: streams
 //!   distinct rows while the seen-set fits, and degrades to a two-file
 //!   (seen, candidate) partitioned dedup when it does not.
+//!
+//! One driver, [`Grace`], then processes the partitions of every spilled
+//! breaker: each breaker supplies only its per-side [`Side`]s and a
+//! per-partition kernel.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 use tmql_algebra::Env;
 use tmql_model::{Record, Result};
-use tmql_storage::spill::{RunReader, RunWriter, SpillFile};
+use tmql_storage::spill::{RunWriter, SpillFile};
 
 use crate::exec::ExecContext;
 use crate::metrics::Metrics;
-use crate::op::operator::{BoxedOperator, OpStats};
+use crate::op::exchange;
+use crate::op::operator::{pop_carry, Batch, BoxedOperator, OpStats};
 
 /// Number of partitions per spill pass. 8-way: a breaker at `k×` the
 /// budget lands partitions at `k/8 ×`, so one pass absorbs overshoots up
@@ -49,9 +55,18 @@ pub const MAX_REPARTITION_DEPTH: usize = 4;
 
 /// Partition-key function of one operator: the hash of the row's
 /// partitioning key under the given seed, or `None` when the key is NULL
-/// (the caller decides whether NULL-key rows are dropped — hash-join build
-/// sides — or routed to partition 0 so they stay together).
+/// (the [`Side`] decides whether NULL-key rows are dropped or routed to
+/// partition 0 so they stay together).
 pub type PartFn<'p> = Box<dyn Fn(&Record, &mut Env, u64) -> Result<Option<u64>> + 'p>;
+
+/// One input side of a partitioned breaker.
+pub struct Side<'p> {
+    /// How the side's rows hash to partitions.
+    pub part: PartFn<'p>,
+    /// Drop NULL-key rows on the way to disk (hash-join build sides, where
+    /// they never match) instead of routing them to partition 0.
+    pub drop_nullkey: bool,
+}
 
 /// A hasher mixing in a recursion-level seed, so repartitioning a skewed
 /// partition redistributes rows instead of reproducing the same split.
@@ -70,22 +85,19 @@ pub fn hash_record(rec: &Record, seed: u64) -> u64 {
 }
 
 /// Route one record into the partition its hash selects, counting the
-/// spill traffic. NULL-key rows are dropped or sent to partition 0 per
-/// `drop_nullkey`.
-#[allow(clippy::too_many_arguments)]
+/// spill traffic.
 fn route(
     writers: &mut [RunWriter],
-    part: &PartFn<'_>,
+    side: &Side<'_>,
     env: &mut Env,
     rec: &Record,
     seed: u64,
-    drop_nullkey: bool,
     m: &mut Metrics,
     ops: &mut OpStats,
 ) -> Result<()> {
-    let idx = match part(rec, env, seed)? {
+    let idx = match (side.part)(rec, env, seed)? {
         Some(h) => (h % writers.len() as u64) as usize,
-        None if drop_nullkey => return Ok(()),
+        None if side.drop_nullkey => return Ok(()),
         None => 0,
     };
     writers[idx].write(rec)?;
@@ -127,8 +139,7 @@ pub fn drain_or_spill(
     child: &mut BoxedOperator<'_>,
     ctx: &mut ExecContext<'_>,
     env: &mut Env,
-    part: &PartFn<'_>,
-    drop_nullkey: bool,
+    side: &Side<'_>,
     ops: &mut OpStats,
 ) -> Result<Drained> {
     let mut buf: Vec<Record> = Vec::new();
@@ -142,16 +153,7 @@ pub fn drain_or_spill(
                     let mut ws = ctx.spill_runs(SPILL_FANOUT)?;
                     let n = buf.len();
                     for r in buf.drain(..) {
-                        route(
-                            &mut ws,
-                            part,
-                            env,
-                            &r,
-                            0,
-                            drop_nullkey,
-                            &mut ctx.metrics,
-                            ops,
-                        )?;
+                        route(&mut ws, side, env, &r, 0, &mut ctx.metrics, ops)?;
                     }
                     ctx.resident_release(n);
                     writers = Some(ws);
@@ -159,7 +161,7 @@ pub fn drain_or_spill(
             }
             Some(ws) => {
                 for r in b.rows {
-                    route(ws, part, env, &r, 0, drop_nullkey, &mut ctx.metrics, ops)?;
+                    route(ws, side, env, &r, 0, &mut ctx.metrics, ops)?;
                 }
             }
         }
@@ -176,23 +178,13 @@ pub fn spill_stream(
     child: &mut BoxedOperator<'_>,
     ctx: &mut ExecContext<'_>,
     env: &mut Env,
-    part: &PartFn<'_>,
-    drop_nullkey: bool,
+    side: &Side<'_>,
     ops: &mut OpStats,
 ) -> Result<Vec<SpillFile>> {
     let mut ws = ctx.spill_runs(SPILL_FANOUT)?;
     while let Some(b) = child.pull(ctx)? {
         for r in b.rows {
-            route(
-                &mut ws,
-                part,
-                env,
-                &r,
-                0,
-                drop_nullkey,
-                &mut ctx.metrics,
-                ops,
-            )?;
+            route(&mut ws, side, env, &r, 0, &mut ctx.metrics, ops)?;
         }
     }
     finish_runs(ws, ctx)
@@ -204,35 +196,24 @@ pub fn spill_rows(
     rows: Vec<Record>,
     ctx: &mut ExecContext<'_>,
     env: &mut Env,
-    part: &PartFn<'_>,
-    drop_nullkey: bool,
+    side: &Side<'_>,
     ops: &mut OpStats,
 ) -> Result<Vec<SpillFile>> {
     let mut ws = ctx.spill_runs(SPILL_FANOUT)?;
     for r in &rows {
-        route(
-            &mut ws,
-            part,
-            env,
-            r,
-            0,
-            drop_nullkey,
-            &mut ctx.metrics,
-            ops,
-        )?;
+        route(&mut ws, side, env, r, 0, &mut ctx.metrics, ops)?;
     }
     finish_runs(ws, ctx)
 }
 
 /// Re-split one oversized partition with a fresh seed (skew recovery).
 /// Reads the run back batch-at-a-time, so memory stays at one batch.
-pub fn repartition(
+fn repartition(
     file: SpillFile,
     ctx: &mut ExecContext<'_>,
     env: &mut Env,
-    part: &PartFn<'_>,
+    side: &Side<'_>,
     seed: u64,
-    drop_nullkey: bool,
     ops: &mut OpStats,
 ) -> Result<Vec<SpillFile>> {
     let mut ws = ctx.spill_runs(SPILL_FANOUT)?;
@@ -243,19 +224,168 @@ pub fn repartition(
             break;
         }
         for r in &batch {
-            route(
-                &mut ws,
-                part,
-                env,
-                r,
-                seed,
-                drop_nullkey,
-                &mut ctx.metrics,
-                ops,
-            )?;
+            route(&mut ws, side, env, r, seed, &mut ctx.metrics, ops)?;
         }
     }
     finish_runs(ws, ctx)
+}
+
+// ---------------------------------------------------------------------------
+// The grace driver
+// ---------------------------------------------------------------------------
+
+/// Total rows of `runs[sides]`.
+fn rows_of(runs: &[SpillFile], sides: &Range<usize>) -> u64 {
+    runs[sides.clone()].iter().map(SpillFile::rows).sum()
+}
+
+/// The partition loop every spilled breaker shares: hash join, ν, GROUP
+/// BY, sort-merge join, set operations and dedup.
+///
+/// A partition is one spill run per side (paired by position) plus its
+/// repartitioning depth. The driver pops partitions in order and:
+///
+/// * **repartitions** one whose `sized_by` sides exceed the budget with
+///   the seed `depth`, up to [`MAX_REPARTITION_DEPTH`], pushing the
+///   sub-partitions back to the front so order is preserved;
+/// * **skips** one whose `driven_by` sides are empty (it cannot produce
+///   output);
+/// * otherwise adds it to a **wave** of at most `ctx.threads()`
+///   partitions whose summed `sized_by` rows fit the budget (always at
+///   least one), runs the breaker's kernel once per partition through
+///   [`exchange::scatter`], merges the workers' [`Metrics`] and queues the
+///   outputs in partition order for emission.
+///
+/// `threads = 1` is a wave of width one, so the serial and parallel paths
+/// are the same code. A wave's partition state counts in the resident
+/// gauge while the wave runs; its outputs count until they are emitted.
+pub struct Grace<'p> {
+    sides: Vec<Side<'p>>,
+    sized_by: Range<usize>,
+    driven_by: Range<usize>,
+    /// Partitions still to process (`None` until the breaker spills).
+    queue: Option<VecDeque<(Vec<SpillFile>, usize)>>,
+    /// Rows ready to emit, already counted in the resident gauge.
+    ready: VecDeque<Record>,
+}
+
+impl<'p> Grace<'p> {
+    /// A driver over `sides`. The rows of the `sized_by` sides are a
+    /// partition's resident size (they decide "oversize" and charge the
+    /// wave budget); a partition whose `driven_by` sides hold no rows is
+    /// skipped.
+    pub fn new(sides: Vec<Side<'p>>, sized_by: Range<usize>, driven_by: Range<usize>) -> Self {
+        Grace {
+            sides,
+            sized_by,
+            driven_by,
+            queue: None,
+            ready: VecDeque::new(),
+        }
+    }
+
+    /// Side `i`, for spilling its input.
+    pub fn side(&self, i: usize) -> &Side<'p> {
+        &self.sides[i]
+    }
+
+    /// Start the partition loop over the sides' seed-0 runs (one vector
+    /// per side, paired by position).
+    pub fn engage(&mut self, runs: Vec<Vec<SpillFile>>) {
+        self.queue = Some(transpose(runs).into_iter().map(|p| (p, 1)).collect());
+    }
+
+    /// Queue rows for emission; the caller has already counted them in the
+    /// resident gauge.
+    pub fn hold(&mut self, rows: Vec<Record>) {
+        self.ready.extend(rows);
+    }
+
+    /// Release held rows and drop every partition (open / close).
+    pub fn reset(&mut self, ctx: &mut ExecContext<'_>) {
+        ctx.resident_release(self.ready.len());
+        self.ready.clear();
+        self.queue = None;
+    }
+
+    /// Next batch of held or partition output, running waves of `kernel`
+    /// as needed; `None` once every partition is done.
+    pub fn next_batch<K>(
+        &mut self,
+        kernel: &K,
+        ctx: &mut ExecContext<'_>,
+        env: &mut Env,
+        ops: &mut OpStats,
+    ) -> Result<Option<Batch>>
+    where
+        K: Fn(&[SpillFile], &mut Env, &mut Metrics) -> Result<Vec<Record>> + Sync,
+    {
+        loop {
+            if let Some(b) = pop_carry(&mut self.ready, ctx.batch_size(), ctx) {
+                return Ok(Some(b));
+            }
+            let Some(queue) = self.queue.as_mut() else {
+                return Ok(None);
+            };
+            let mut wave: Vec<Vec<SpillFile>> = Vec::new();
+            let mut wave_rows: u64 = 0;
+            while wave.len() < ctx.threads() {
+                let Some((runs, depth)) = queue.pop_front() else {
+                    break;
+                };
+                let size = rows_of(&runs, &self.sized_by);
+                if ctx.over_budget(size as usize) && depth < MAX_REPARTITION_DEPTH && size > 1 {
+                    let mut split = Vec::with_capacity(runs.len());
+                    for (run, side) in runs.into_iter().zip(&self.sides) {
+                        split.push(repartition(run, ctx, env, side, depth as u64, ops)?);
+                    }
+                    for sub in transpose(split).into_iter().rev() {
+                        queue.push_front((sub, depth + 1));
+                    }
+                    continue;
+                }
+                if rows_of(&runs, &self.driven_by) == 0 {
+                    continue;
+                }
+                if !wave.is_empty() && ctx.over_budget((wave_rows + size) as usize) {
+                    queue.push_front((runs, depth));
+                    break;
+                }
+                wave_rows += size;
+                wave.push(runs);
+            }
+            if wave.is_empty() {
+                self.queue = None;
+                return Ok(None);
+            }
+            ctx.resident_acquire(wave_rows as usize);
+            let base_env: &Env = env;
+            let results = exchange::scatter(ctx.threads(), wave, |runs| {
+                let mut env = base_env.clone();
+                let mut m = Metrics::new();
+                kernel(&runs, &mut env, &mut m).map(|out| (out, m))
+            });
+            ctx.resident_release(wave_rows as usize);
+            for res in results {
+                let (rows, m) = res?;
+                ctx.metrics += m;
+                ctx.resident_acquire(rows.len());
+                self.ready.extend(rows);
+            }
+        }
+    }
+}
+
+/// Turn per-side partition vectors into per-partition side vectors.
+fn transpose(runs: Vec<Vec<SpillFile>>) -> Vec<Vec<SpillFile>> {
+    let mut parts: Vec<Vec<SpillFile>> = Vec::new();
+    for side in runs {
+        parts.resize_with(side.len(), Vec::new);
+        for (part, run) in parts.iter_mut().zip(side) {
+            part.push(run);
+        }
+    }
+    parts
 }
 
 // ---------------------------------------------------------------------------
@@ -270,18 +400,12 @@ pub fn repartition(
 /// breaker: the seen-set is spilled into per-partition "seen" runs (these
 /// rows were **already emitted** and must be suppressed later), every
 /// further candidate goes to a paired "candidate" run, and after
-/// [`SpillDedup::seal`] the partitions drain one at a time — load the
-/// partition's seen-set, stream its candidates through it, emit the new
-/// distinct rows. Oversized partitions repartition recursively like every
-/// other spill consumer.
-#[derive(Default)]
+/// [`SpillDedup::seal`] the [`Grace`] driver dedups each partition's
+/// candidates against its seen-set and emits the new distinct rows.
 pub struct SpillDedup {
     seen: BTreeSet<Record>,
     writers: Option<DedupWriters>,
-    drain: Option<DedupDrain>,
-    /// Deferred rows produced by a parallel drain wave, handed out in
-    /// batch-sized slices (serial drains never use this buffer).
-    ready: VecDeque<Record>,
+    grace: Grace<'static>,
 }
 
 struct DedupWriters {
@@ -289,33 +413,43 @@ struct DedupWriters {
     cand_parts: Vec<RunWriter>,
 }
 
-struct DedupDrain {
-    /// (seen, candidates, depth) triples still to process.
-    parts: VecDeque<(SpillFile, SpillFile, usize)>,
-    cur: Option<CurPart>,
-}
-
-struct CurPart {
-    seen: BTreeSet<Record>,
-    reader: RunReader,
-    /// Keeps the candidate run alive while its reader streams.
-    _file: SpillFile,
-}
-
 /// Whole-record partitioning: dedup's key is the row itself.
-fn dedup_part() -> PartFn<'static> {
-    Box::new(|r, _env, seed| Ok(Some(hash_record(r, seed))))
+fn dedup_side() -> Side<'static> {
+    Side {
+        part: Box::new(|r, _env, seed| Ok(Some(hash_record(r, seed)))),
+        drop_nullkey: false,
+    }
+}
+
+/// Dedup one (seen, candidates) partition: the candidates not yet seen,
+/// each once.
+fn dedup_kernel(runs: &[SpillFile], _env: &mut Env, _m: &mut Metrics) -> Result<Vec<Record>> {
+    let mut seen: BTreeSet<Record> = runs[0].reader()?.read_all()?.into_iter().collect();
+    let mut out = Vec::new();
+    for r in runs[1].reader()?.read_all()? {
+        if !seen.contains(&r) {
+            seen.insert(r.clone());
+            out.push(r);
+        }
+    }
+    Ok(out)
+}
+
+impl Default for SpillDedup {
+    fn default() -> Self {
+        SpillDedup {
+            seen: BTreeSet::new(),
+            writers: None,
+            // Both runs count as partition state; only candidates emit.
+            grace: Grace::new(vec![dedup_side(), dedup_side()], 0..2, 1..2),
+        }
+    }
 }
 
 impl SpillDedup {
     /// Fresh, empty dedup state (streaming mode).
     pub fn new() -> SpillDedup {
         SpillDedup::default()
-    }
-
-    /// True iff dedup overflowed and rows are deferred to the drain phase.
-    pub fn spilled(&self) -> bool {
-        self.writers.is_some() || self.drain.is_some()
     }
 
     /// Offer a candidate row. Returns `Some(row)` when the row is new and
@@ -366,188 +500,27 @@ impl SpillDedup {
         Ok(Some(rec))
     }
 
-    /// Input exhausted: seal the spill writers (if any) and prepare the
-    /// drain phase.
+    /// Input exhausted: seal the spill writers (if any) and hand the
+    /// partitions to the drain phase.
     pub fn seal(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         if let Some(w) = self.writers.take() {
             let seen_files = finish_runs(w.seen_parts, ctx)?;
             let cand_files = finish_runs(w.cand_parts, ctx)?;
-            let parts = seen_files
-                .into_iter()
-                .zip(cand_files)
-                .map(|(s, c)| (s, c, 1))
-                .collect();
-            self.drain = Some(DedupDrain { parts, cur: None });
+            self.grace.engage(vec![seen_files, cand_files]);
         }
         Ok(())
     }
 
-    /// Pull up to `n` deferred distinct rows from the drain phase. An
-    /// empty vector means the drain is complete (and is the immediate
-    /// answer in streaming mode, where nothing was deferred).
+    /// Next batch of deferred distinct rows from the drain phase; `None`
+    /// when the drain is complete (immediately in streaming mode, where
+    /// nothing was deferred).
     pub fn next_deferred(
         &mut self,
-        n: usize,
         ctx: &mut ExecContext<'_>,
         ops: &mut OpStats,
-    ) -> Result<Vec<Record>> {
-        let part = dedup_part();
-        if ctx.threads() > 1 {
-            return self.next_deferred_parallel(n, ctx, ops, &part);
-        }
-        loop {
-            let Some(drain) = self.drain.as_mut() else {
-                return Ok(Vec::new());
-            };
-            if let Some(cur) = drain.cur.as_mut() {
-                let batch = cur.reader.read_batch(n)?;
-                if batch.is_empty() {
-                    ctx.resident_release(cur.seen.len());
-                    drain.cur = None;
-                    continue;
-                }
-                let mut out = Vec::new();
-                for r in batch {
-                    if !cur.seen.contains(&r) {
-                        ctx.resident_acquire(1);
-                        cur.seen.insert(r.clone());
-                        out.push(r);
-                    }
-                }
-                if out.is_empty() {
-                    continue;
-                }
-                return Ok(out);
-            }
-            match drain.parts.pop_front() {
-                None => {
-                    self.drain = None;
-                    return Ok(Vec::new());
-                }
-                Some((seen_f, cand_f, depth)) => {
-                    let total = seen_f.rows() + cand_f.rows();
-                    if ctx.over_budget(total as usize) && depth < MAX_REPARTITION_DEPTH && total > 1
-                    {
-                        let mut env = Env::new();
-                        let seed = depth as u64;
-                        let new_seen = repartition(seen_f, ctx, &mut env, &part, seed, false, ops)?;
-                        let new_cand = repartition(cand_f, ctx, &mut env, &part, seed, false, ops)?;
-                        let drain = self.drain.as_mut().expect("still draining");
-                        for (s, c) in new_seen.into_iter().zip(new_cand).rev() {
-                            drain.parts.push_front((s, c, depth + 1));
-                        }
-                        continue;
-                    }
-                    if cand_f.is_empty() {
-                        continue;
-                    }
-                    let seen: BTreeSet<Record> = seen_f.reader()?.read_all()?.into_iter().collect();
-                    ctx.resident_acquire(seen.len());
-                    let reader = cand_f.reader()?;
-                    drain.cur = Some(CurPart {
-                        seen,
-                        reader,
-                        _file: cand_f,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Drain-phase wave for parallel execution: up to `threads` (seen,
-    /// candidates) partition pairs dedup concurrently on scoped workers,
-    /// gathered in partition order into the `ready` buffer and handed out
-    /// in batch-sized slices — so emission order and batch sizes match the
-    /// serial drain exactly. Waves are budget-capped on the summed pair
-    /// sizes (concurrent seen-sets are summed resident state), ≥ 1 pair
-    /// per wave.
-    fn next_deferred_parallel(
-        &mut self,
-        n: usize,
-        ctx: &mut ExecContext<'_>,
-        ops: &mut OpStats,
-        part: &PartFn<'_>,
-    ) -> Result<Vec<Record>> {
-        loop {
-            if !self.ready.is_empty() {
-                let k = n.min(self.ready.len());
-                let out: Vec<Record> = self.ready.drain(..k).collect();
-                ctx.resident_release(out.len());
-                return Ok(out);
-            }
-            if self.drain.is_none() {
-                return Ok(Vec::new());
-            }
-            let mut wave: Vec<(SpillFile, SpillFile)> = Vec::new();
-            let mut wave_rows: u64 = 0;
-            while wave.len() < ctx.threads() {
-                let next = self
-                    .drain
-                    .as_mut()
-                    .expect("still draining")
-                    .parts
-                    .pop_front();
-                let Some((seen_f, cand_f, depth)) = next else {
-                    break;
-                };
-                let total = seen_f.rows() + cand_f.rows();
-                if ctx.over_budget(total as usize) && depth < MAX_REPARTITION_DEPTH && total > 1 {
-                    let mut env = Env::new();
-                    let seed = depth as u64;
-                    let new_seen = repartition(seen_f, ctx, &mut env, part, seed, false, ops)?;
-                    let new_cand = repartition(cand_f, ctx, &mut env, part, seed, false, ops)?;
-                    let drain = self.drain.as_mut().expect("still draining");
-                    for (s, c) in new_seen.into_iter().zip(new_cand).rev() {
-                        drain.parts.push_front((s, c, depth + 1));
-                    }
-                    continue;
-                }
-                if cand_f.is_empty() {
-                    continue;
-                }
-                if !wave.is_empty() && ctx.over_budget((wave_rows + total) as usize) {
-                    let drain = self.drain.as_mut().expect("still draining");
-                    drain.parts.push_front((seen_f, cand_f, depth));
-                    break;
-                }
-                wave_rows += total;
-                wave.push((seen_f, cand_f));
-            }
-            if wave.is_empty() {
-                self.drain = None;
-                return Ok(Vec::new());
-            }
-            ctx.resident_acquire(wave_rows as usize);
-            let results = crate::op::exchange::scatter(
-                ctx.threads(),
-                wave,
-                |(seen_f, cand_f)| -> Result<Vec<Record>> {
-                    let mut seen: BTreeSet<Record> =
-                        seen_f.reader()?.read_all()?.into_iter().collect();
-                    let mut out = Vec::new();
-                    let mut reader = cand_f.reader()?;
-                    loop {
-                        let batch = reader.read_batch(n)?;
-                        if batch.is_empty() {
-                            break;
-                        }
-                        for r in batch {
-                            if !seen.contains(&r) {
-                                seen.insert(r.clone());
-                                out.push(r);
-                            }
-                        }
-                    }
-                    Ok(out)
-                },
-            );
-            ctx.resident_release(wave_rows as usize);
-            for res in results {
-                let rows = res?;
-                ctx.resident_acquire(rows.len());
-                self.ready.extend(rows);
-            }
-        }
+    ) -> Result<Option<Batch>> {
+        self.grace
+            .next_batch(&dedup_kernel, ctx, &mut Env::new(), ops)
     }
 
     /// Release all resident accounting and drop every spill artifact
@@ -556,12 +529,6 @@ impl SpillDedup {
         ctx.resident_release(self.seen.len());
         self.seen.clear();
         self.writers = None;
-        ctx.resident_release(self.ready.len());
-        self.ready.clear();
-        if let Some(drain) = self.drain.take() {
-            if let Some(cur) = drain.cur {
-                ctx.resident_release(cur.seen.len());
-            }
-        }
+        self.grace.reset(ctx);
     }
 }

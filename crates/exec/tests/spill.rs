@@ -126,35 +126,43 @@ fn multiset(rows: Vec<Record>) -> Vec<Record> {
     rows
 }
 
+/// Grace waves of width one (`threads = 1`) and wider.
+const WAVE_WIDTHS: [usize; 2] = [1, 4];
+
 #[test]
 fn budgeted_runs_match_unbounded_for_every_breaker() {
     let cat = sized_catalog(512, 16);
-    for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
-        for (name, plan) in breaker_corpus() {
-            let free = ExecConfig::with_join_algo(algo).batch_size(64);
-            let (rows_free, m_free) = run(&plan, &cat, &free).unwrap();
-            let tight = free.memory_budget(48);
-            let (rows_tight, m_tight) = run(&plan, &cat, &tight).unwrap();
-            assert_eq!(
-                multiset(rows_free),
-                multiset(rows_tight),
-                "{name}/{algo:?}: budgeted result diverged"
-            );
-            assert!(
-                m_tight.rows_spilled > 0,
-                "{name}/{algo:?}: breaker state of 512 rows under a 48-row budget must spill"
-            );
-            assert_eq!(
-                m_free.rows_spilled, 0,
-                "{name}/{algo:?}: unbounded run spilled"
-            );
-            assert!(
-                m_tight.peak_resident_rows < m_free.peak_resident_rows,
-                "{name}/{algo:?}: spilling should lower the resident peak \
-                 (free={} tight={})",
-                m_free.peak_resident_rows,
-                m_tight.peak_resident_rows
-            );
+    for threads in WAVE_WIDTHS {
+        for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
+            for (name, plan) in breaker_corpus() {
+                let free = ExecConfig::with_join_algo(algo)
+                    .batch_size(64)
+                    .threads(threads);
+                let (rows_free, m_free) = run(&plan, &cat, &free).unwrap();
+                let tight = free.memory_budget(48);
+                let (rows_tight, m_tight) = run(&plan, &cat, &tight).unwrap();
+                assert_eq!(
+                    multiset(rows_free),
+                    multiset(rows_tight),
+                    "{name}/{algo:?}/threads={threads}: budgeted result diverged"
+                );
+                assert!(
+                    m_tight.rows_spilled > 0,
+                    "{name}/{algo:?}/threads={threads}: breaker state of 512 rows \
+                     under a 48-row budget must spill"
+                );
+                assert_eq!(
+                    m_free.rows_spilled, 0,
+                    "{name}/{algo:?}/threads={threads}: unbounded run spilled"
+                );
+                assert!(
+                    m_tight.peak_resident_rows < m_free.peak_resident_rows,
+                    "{name}/{algo:?}/threads={threads}: spilling should lower the \
+                     resident peak (free={} tight={})",
+                    m_free.peak_resident_rows,
+                    m_tight.peak_resident_rows
+                );
+            }
         }
     }
 }
@@ -337,8 +345,9 @@ fn scan_expr_buffered_set_spills_under_budget() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Differential: for random inputs, budgets, batch sizes, and join
-    /// algorithms, budgeted execution returns exactly the unbounded rows.
+    /// Differential: for random inputs, budgets, batch sizes, join
+    /// algorithms and wave widths, budgeted execution returns exactly the
+    /// unbounded rows.
     #[test]
     fn budget_never_changes_results(
         x in prop::collection::vec((0i64..16, 0i64..6), 0..48),
@@ -346,18 +355,20 @@ proptest! {
         budget in 1usize..24,
         bs_i in 0usize..3,
         algo_i in 0usize..2,
+        threads_i in 0usize..2,
     ) {
         let bs = [1usize, 7, 64][bs_i];
         let algo = [JoinAlgo::Hash, JoinAlgo::SortMerge][algo_i];
+        let threads = WAVE_WIDTHS[threads_i];
         let cat = catalog(&x, &y);
         for (name, plan) in breaker_corpus() {
-            let free = ExecConfig::with_join_algo(algo).batch_size(bs);
+            let free = ExecConfig::with_join_algo(algo).batch_size(bs).threads(threads);
             let (rows_free, _) = run(&plan, &cat, &free).unwrap();
             let (rows_tight, _) = run(&plan, &cat, &free.memory_budget(budget)).unwrap();
             prop_assert_eq!(
                 multiset(rows_free),
                 multiset(rows_tight),
-                "{}: budget {} diverged", name, budget
+                "{}: budget {} threads {} diverged", name, budget, threads
             );
         }
     }

@@ -51,10 +51,22 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting a query may have. Each parenthesis, subquery,
+/// quantifier, `NOT` and operand is one level. The parser and every later
+/// stage recurse once per level, and an unoptimized build spends about
+/// 16 KiB of parser stack on each, so the limit keeps a hostile query from
+/// overflowing a 2 MiB thread stack: a deeper query is a parse error, not
+/// a crash.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 /// Parse a complete query (a single expression, usually an SFW block).
 pub fn parse_query(src: &str) -> Result<Expr, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let e = p.expr()?;
     p.expect(Tok::Eof)?;
     Ok(e)
@@ -63,9 +75,29 @@ pub fn parse_query(src: &str) -> Result<Expr, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting depth (see [`MAX_NESTING_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Run `f` one nesting level deeper, failing past
+    /// [`MAX_NESTING_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING_DEPTH {
+            return Err(ParseError::new(
+                format!("query nests deeper than {MAX_NESTING_DEPTH} levels"),
+                self.span(),
+            ));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
     fn peek(&self) -> &Tok {
         &self.tokens[self.pos].tok
     }
@@ -127,7 +159,7 @@ impl Parser {
     fn expr(&mut self) -> Result<Expr, ParseError> {
         // SELECT at the start of an expression is a bare SFW block.
         if matches!(self.peek(), Tok::Kw(K::Select)) {
-            return self.sfw();
+            return self.nested(Parser::sfw);
         }
         self.or_expr()
     }
@@ -155,7 +187,7 @@ impl Parser {
         // negation.
         if matches!(self.peek(), Tok::Kw(K::Not)) && !matches!(self.peek2(), Tok::Kw(K::In)) {
             self.bump();
-            let inner = self.not_expr()?;
+            let inner = self.nested(Parser::not_expr)?;
             return Ok(Expr::Not(Box::new(inner)));
         }
         self.comparison()
@@ -246,7 +278,8 @@ impl Parser {
     }
 
     fn postfix(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.primary()?;
+        // Every recursive production except `NOT` goes through a primary.
+        let mut e = self.nested(Parser::primary)?;
         while self.eat(&Tok::Dot) {
             let (field, span) = self.ident()?;
             e = Expr::Field(Box::new(e), field, span);
@@ -643,6 +676,28 @@ mod tests {
             parse_query("SELECT (a = 1, a = 2) FROM X x").is_err(),
             "dup label"
         );
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let deep = |open: &str, close: &str, n: usize| {
+            format!(
+                "SELECT x FROM X x WHERE {}x.a = 1{}",
+                open.repeat(n),
+                close.repeat(n)
+            )
+        };
+        // The statement and the innermost operand take one level each.
+        let n = MAX_NESTING_DEPTH - 2;
+        assert!(parse_query(&deep("(", ")", n)).is_ok());
+        let err = parse_query(&deep("(", ")", n + 1)).unwrap_err();
+        assert!(err.message.contains("nests deeper"), "{err:?}");
+        for (open, close) in [("(", ")"), ("NOT ", ""), ("EXISTS y IN X (", ")")] {
+            let err = parse_query(&deep(open, close, 5_000)).unwrap_err();
+            assert!(err.message.contains("nests deeper"), "{open}: {err:?}");
+        }
+        let err = parse_query(&format!("{}x FROM X x", "SELECT ".repeat(5_000))).unwrap_err();
+        assert!(err.message.contains("nests deeper"), "{err:?}");
     }
 
     #[test]

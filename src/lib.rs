@@ -785,12 +785,13 @@ impl Database {
     /// The uninstrumented parse→plan→execute pipeline behind
     /// [`Database::query_with`].
     fn run_pipeline(&self, src: &str, opts: QueryOptions) -> Result<QueryResult, TmqlError> {
-        let (translated, optimized) = self.plan_with(src, opts)?;
+        let est = self.estimator(opts);
+        let (translated, optimized) = self.plan(src, opts, est)?;
         let config = opts.exec_config();
         let phys = tmql_exec::lower(&optimized, &self.catalog, &config)?;
         // Estimated rows per executed operator (same pre-order as the
         // operator tree), so profiles show estimated vs. actual.
-        let est = Estimator::new(&self.catalog).exec_order_rows_phys(&phys);
+        let est = est.exec_order_rows_phys(&phys);
         let mut ctx = tmql_exec::ExecContext::with_config(&self.catalog, &config);
         let (rows, ops) =
             tmql_exec::execute_collect(&phys, &mut ctx, &tmql_algebra::Env::new(), Some(&est))?;
@@ -938,9 +939,27 @@ impl Database {
         self.obs.slow_micros = micros;
     }
 
+    /// The cost model of one facade call. Plan choice, `EXPLAIN`
+    /// annotations and profile estimates all read the same model, so an
+    /// annotation never comes from a different model than the one that
+    /// chose the plan.
+    fn estimator(&self, opts: QueryOptions) -> Estimator<'_> {
+        Estimator::with_budget(&self.catalog, opts.memory_budget_rows).with_threads(opts.threads)
+    }
+
     /// Produce the translated and optimized logical plans without
     /// executing.
     pub fn plan_with(&self, src: &str, opts: QueryOptions) -> Result<(Plan, Plan), TmqlError> {
+        self.plan(src, opts, self.estimator(opts))
+    }
+
+    /// [`Database::plan_with`] under a given cost model.
+    fn plan(
+        &self,
+        src: &str,
+        opts: QueryOptions,
+        est: Estimator<'_>,
+    ) -> Result<(Plan, Plan), TmqlError> {
         let ast = tmql_lang::parse_query(src)?;
         if opts.typecheck {
             tmql_lang::check_query(&ast, &CatalogTypes(&self.catalog))?;
@@ -955,10 +974,7 @@ impl Database {
         // estimator-backed cost model ranks CostBased candidates. The
         // memory budget flows in too, so under tight memory the model
         // charges spill I/O to plans with oversized breaker state.
-        let model = EstimatorCostModel(
-            Estimator::with_budget(&self.catalog, opts.memory_budget_rows)
-                .with_threads(opts.threads),
-        );
+        let model = EstimatorCostModel(est);
         let optimized = optimizer.optimize_with(translated.clone(), Some(&model));
         Ok((translated, optimized))
     }
@@ -973,11 +989,21 @@ impl Database {
     /// The optimized and physical sections carry the cost model's
     /// estimated rows per operator.
     pub fn explain_with(&self, src: &str, opts: QueryOptions) -> Result<String, TmqlError> {
-        let (translated, optimized) = self.plan_with(src, opts)?;
-        let config = opts.exec_config();
-        let phys = tmql_exec::lower(&optimized, &self.catalog, &config)?;
-        let est = Estimator::new(&self.catalog);
-        let annotated = tmql_algebra::pretty::explain_annotated(&optimized, &mut |node| {
+        let est = self.estimator(opts);
+        let (translated, optimized) = self.plan(src, opts, est)?;
+        self.render_explain(&translated, &optimized, opts, est)
+    }
+
+    /// The `EXPLAIN` report of already-planned logical plans.
+    fn render_explain(
+        &self,
+        translated: &Plan,
+        optimized: &Plan,
+        opts: QueryOptions,
+        est: Estimator<'_>,
+    ) -> Result<String, TmqlError> {
+        let phys = tmql_exec::lower(optimized, &self.catalog, &opts.exec_config())?;
+        let annotated = tmql_algebra::pretty::explain_annotated(optimized, &mut |node| {
             Some(format!(
                 "est_rows={}",
                 tmql_exec::cost::format_rows(est.rows(node))
@@ -987,19 +1013,25 @@ impl Database {
             "== translated (nested-loop semantics) ==\n{}\
              == optimized ({}) ==\n{}\
              == physical ==\n{}",
-            tmql_algebra::pretty::explain(&translated),
+            tmql_algebra::pretty::explain(translated),
             opts.strategy.name(),
             annotated,
-            tmql_exec::cost::explain_with_estimates(&phys, &self.catalog),
+            tmql_exec::cost::explain_with_estimates(&phys, &est),
         ))
     }
 
     /// `EXPLAIN ANALYZE`: the full [`Database::explain_with`] report plus
     /// the **executed** operator tree with per-operator emitted
-    /// rows/batches and the run's work counters. This runs the query.
+    /// rows/batches and the run's work counters. This runs the query,
+    /// and plans it once: the explain sections show the executed plans.
     pub fn profile_with(&self, src: &str, opts: QueryOptions) -> Result<String, TmqlError> {
-        let explain = self.explain_with(src, opts)?;
         let result = self.query_with(src, opts)?;
+        let explain = self.render_explain(
+            &result.translated,
+            &result.optimized,
+            opts,
+            self.estimator(opts),
+        )?;
         Ok(format!(
             "{explain}== operators (executed, batch_size={}) ==\n{}-- {}\n",
             opts.batch_size, result.op_profile, result.metrics,

@@ -134,3 +134,22 @@ proptest! {
         prop_assert!(is_semi);
     }
 }
+
+/// A hostile nesting depth is a typed parse error, not a stack overflow
+/// that aborts the process; a query just inside the limit still runs.
+#[test]
+fn deeply_nested_predicates_error_instead_of_aborting() {
+    let db = Database::from_catalog(gen_xy(&GenConfig::sized(8)));
+    let nested = |n: usize| {
+        format!(
+            "SELECT x.n FROM X x WHERE {}x.b = 1{}",
+            "(".repeat(n),
+            ")".repeat(n)
+        )
+    };
+    let err = db.query(&nested(5_000)).unwrap_err();
+    assert!(matches!(err, tmql::TmqlError::Parse(_)), "{err}");
+    // The statement and the innermost operand take one level each.
+    db.query(&nested(tmql_lang::MAX_NESTING_DEPTH - 2))
+        .expect("nesting inside the limit runs");
+}

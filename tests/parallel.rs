@@ -104,10 +104,21 @@ fn parallel_spilling_run_matches_serial_and_spills() {
 /// Scan waves hold about one batch in flight regardless of worker count:
 /// morsels are `⌈batch_size / threads⌉` rows each, so `peak_resident_rows`
 /// must stay within one batch (plus per-worker rounding) of the serial
-/// run's peak instead of growing as `threads × batch_size`.
+/// run's peak instead of growing as `threads × batch_size`. Only
+/// disk-backed tables scan in waves, so the table is a persisted copy.
 #[test]
 fn scan_waves_bound_resident_rows() {
-    let db = Database::from_catalog(gen_xy(&GenConfig::sized(2048)));
+    let path = std::env::temp_dir().join(format!(
+        "tmql-parallel-scan-waves-{}.tmdb",
+        std::process::id()
+    ));
+    let mut wal = path.clone().into_os_string();
+    wal.push(".wal");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&wal);
+    let db = Database::from_catalog(gen_xy(&GenConfig::sized(2048)))
+        .persist_to(&path, 64)
+        .expect("persist the scan table");
     let src = "SELECT x.n FROM X x";
     let batch = 64usize;
     let serial = db
@@ -128,7 +139,14 @@ fn scan_waves_bound_resident_rows() {
             par.metrics.peak_resident_rows,
             serial.metrics.peak_resident_rows
         );
+        assert!(
+            par.metrics.peak_resident_rows > serial.metrics.peak_resident_rows,
+            "threads={threads}: the scan ran as waves (its carry shows in the gauge)"
+        );
     }
+    drop(db);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&wal);
 }
 
 /// `threads` beyond the partition count degrades gracefully (idle workers,
