@@ -49,11 +49,10 @@ impl Env {
         }
     }
 
-    /// Pop `n` bindings.
-    pub fn pop_n(&mut self, n: usize) {
-        for _ in 0..n {
-            self.pop();
-        }
+    /// Drop every binding above the first `len`: restores a scope to the
+    /// depth it had on entry (see [`Env::len`]).
+    pub fn truncate(&mut self, len: usize) {
+        self.bindings.truncate(len);
     }
 
     /// Look up a variable, innermost binding first.
@@ -153,31 +152,18 @@ pub fn eval(expr: &ScalarExpr, env: &mut Env) -> Result<Value> {
         }
         ScalarExpr::Quant { q, var, over, pred } => {
             let set = eval(over, env)?;
-            let set = set.as_set()?.clone();
-            match q {
-                Quantifier::Exists => {
-                    for item in set {
-                        env.push(var.clone(), item);
-                        let hit = eval(pred, env)?.as_bool();
-                        env.pop();
-                        if hit? {
-                            return Ok(Value::Bool(true));
-                        }
-                    }
-                    Ok(Value::Bool(false))
-                }
-                Quantifier::Forall => {
-                    for item in set {
-                        env.push(var.clone(), item);
-                        let hit = eval(pred, env)?.as_bool();
-                        env.pop();
-                        if !hit? {
-                            return Ok(Value::Bool(false));
-                        }
-                    }
-                    Ok(Value::Bool(true))
+            // ∃ stops at the first true, ∀ at the first false; the binding
+            // is popped before any error propagates.
+            let exists = matches!(q, Quantifier::Exists);
+            for item in set.as_set()? {
+                env.push(var.clone(), item.clone());
+                let hit = eval_predicate(pred, env);
+                env.pop();
+                if hit? == exists {
+                    return Ok(Value::Bool(exists));
                 }
             }
+            Ok(Value::Bool(!exists))
         }
         ScalarExpr::Unnest(e) => {
             let v = eval(e, env)?;
@@ -397,5 +383,23 @@ mod tests {
         assert!(!eval_predicate(&e, &mut env).unwrap());
         let e = ScalarExpr::or(ScalarExpr::lit(true), ScalarExpr::var("boom"));
         assert!(eval_predicate(&e, &mut env).unwrap());
+    }
+
+    #[test]
+    fn quantifier_error_leaves_env_balanced() {
+        // `EXISTS v IN s : v.a = 1` with `s = {1}`: `v.a` on an integer
+        // fails, and the quantifier's binding must not outlive the error.
+        let mut env = Env::new();
+        env.push("s", Value::set([Value::Int(1)]));
+        for q in [Quantifier::Exists, Quantifier::Forall] {
+            let e = ScalarExpr::quant(
+                q,
+                "v",
+                ScalarExpr::var("s"),
+                ScalarExpr::eq(ScalarExpr::path("v", &["a"]), ScalarExpr::lit(1i64)),
+            );
+            assert!(eval(&e, &mut env).is_err());
+            assert_eq!(env.len(), 1, "{q:?}");
+        }
     }
 }

@@ -76,8 +76,8 @@ pub struct ExecConfig {
     /// and benchmarks compare the two).
     pub apply_cache: bool,
     /// Collect per-operator wall-clock spans (default `true`): the
-    /// metered [`crate::op::operator::Operator::pull`] and the
-    /// open/close walk wrap each call in an `Instant` span accumulated
+    /// [`crate::op::operator::Node`] wraps each operator's `open`,
+    /// `next_batch` and `close` call in an `Instant` span accumulated
     /// into [`crate::op::operator::OpStats::wall_nanos`], which is what
     /// `EXPLAIN ANALYZE` renders. Spans are measured on the driver
     /// thread, so a parallel worker wave inside one operator's

@@ -45,8 +45,9 @@ pub const DEFAULT_SET_FANOUT: f64 = 16.0;
 pub const UNKNOWN_TABLE_ROWS: f64 = 1000.0;
 /// Grouping collapse factor when group-key distinct counts are unknown.
 pub const GROUP_COLLAPSE: f64 = 0.1;
-/// Abstract per-invocation overhead of a correlated `Apply` (operator
-/// re-open + environment rebind), on top of the subquery's own work.
+/// Abstract per-invocation overhead of a correlated `Apply` (pushing the
+/// outer row's bindings and re-opening the reused inner tree), on top of
+/// the subquery's own work.
 /// Charged once per *distinct* correlation binding — the executor
 /// memoizes completed inner results per binding, so duplicate bindings
 /// cost a cache probe, not an execution.

@@ -16,12 +16,16 @@ use crate::config::ExecConfig;
 use crate::metrics::Metrics;
 use crate::op::operator;
 
-/// Execution context: the catalog, accumulated metrics, and the streaming
-/// knobs shared by every operator in the tree.
+/// Execution context: the catalog, the correlation bindings, accumulated
+/// metrics, and the streaming knobs shared by every operator in the tree.
 #[derive(Debug)]
 pub struct ExecContext<'a> {
     /// Stored tables.
     pub catalog: &'a Catalog,
+    /// Correlation bindings in scope: the outer rows of enclosing `Apply`
+    /// operators, innermost last. Every operator evaluates against this
+    /// one env and leaves it as it found it.
+    pub(crate) env: Env,
     /// Work counters, accumulated across the whole plan (including
     /// correlated subquery executions).
     pub metrics: Metrics,
@@ -48,6 +52,7 @@ impl<'a> ExecContext<'a> {
     /// Fresh context with explicit execution configuration.
     pub fn with_config(catalog: &'a Catalog, config: &ExecConfig) -> ExecContext<'a> {
         ExecContext {
+            env: Env::new(),
             metrics: Metrics::new(),
             batch_size: config.batch_size.max(1),
             threads: config.threads.max(1),
@@ -157,21 +162,21 @@ pub fn execute_profiled(
 /// pre-order (see [`crate::cost::Estimator::exec_order_rows_phys`]); when
 /// present, each profile entry carries estimated next to actual rows so
 /// callers can render them side by side and compute q-error.
+///
+/// `env` holds the correlation bindings the plan starts with; operators
+/// evaluate against one shared copy of it in `ctx`.
 pub fn execute_collect(
     plan: &crate::PhysPlan,
     ctx: &mut ExecContext<'_>,
     env: &Env,
     est: Option<&[f64]>,
 ) -> Result<(Vec<Record>, Vec<operator::OpProfile>)> {
-    let mut root = operator::build(plan, env);
-    let result = root
-        .open_timed(ctx)
-        .and_then(|()| operator::drain(&mut root, ctx));
-    root.close_timed(ctx);
+    ctx.env = env.clone();
+    let mut root = operator::build(plan);
+    let result = root.run(ctx);
     ctx.sync_pool_metrics();
     let rows = result?;
-    let profile = operator::collect_profile(root.as_ref(), est);
-    Ok((rows, profile))
+    Ok((rows, operator::collect_profile(&root, est)))
 }
 
 /// Lower a logical plan with `config` and execute it, returning rows only.
@@ -355,6 +360,38 @@ mod tests {
         assert_eq!(ctx.metrics.subquery_invocations, 4);
         // Timing is on by default, so a ` time=…` suffix follows.
         assert!(profile.contains("Apply [rows=4 batches=2"), "{profile}");
+    }
+
+    #[test]
+    fn apply_profile_carries_its_inner_tree_spills() {
+        // The inner Map's dedup state overflows a 1-row budget and
+        // spills; the inner tree has no profile line of its own, so the
+        // Apply line reports those rows.
+        let cat = catalog();
+        let plan = PhysPlan::Apply {
+            input: Box::new(PhysPlan::ScanTable {
+                table: "X".into(),
+                var: "x".into(),
+            }),
+            subquery: Box::new(PhysPlan::Map {
+                input: Box::new(PhysPlan::ScanTable {
+                    table: "Y".into(),
+                    var: "y".into(),
+                }),
+                expr: E::path("y", &["c"]),
+                var: "v".into(),
+            }),
+            label: "z".into(),
+            bindings: None,
+        };
+        let config = ExecConfig::default().memory_budget(1);
+        let mut ctx = ExecContext::with_config(&cat, &config);
+        let (rows, ops) = execute_collect(&plan, &mut ctx, &Env::new(), None).unwrap();
+        assert_eq!(rows.len(), 4);
+        assert!(ctx.metrics.rows_spilled > 0);
+        assert_eq!(ops[0].label, "Apply");
+        assert_eq!(ops[0].rows_spilled, ctx.metrics.rows_spilled, "{ops:?}");
+        assert!(ops[1..].iter().all(|o| o.rows_spilled == 0), "{ops:?}");
     }
 
     #[test]

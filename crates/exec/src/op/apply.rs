@@ -2,11 +2,12 @@
 //! invariant hoisting.
 //!
 //! [`ApplyOp`] is the paper's baseline nested loop, made cheap along three
-//! axes. **Reuse**: the inner operator tree is built once and re-pointed at
-//! each outer row via [`Operator::rebind`] + `open`, so no per-row planning
-//! or allocation happens. **Memoization**: when the planner supplies
-//! binding expressions (the correlation values the inner result depends
-//! on), completed result sets are cached under the evaluated binding key —
+//! axes. **Reuse**: the inner operator tree is built once; per outer row
+//! the row's bindings are pushed on the [`ExecContext`]'s env and the tree
+//! is re-opened and drained, so no per-row planning or allocation
+//! happens. **Memoization**: when the planner supplies binding
+//! expressions (the correlation values the inner result depends on),
+//! completed result sets are cached under the evaluated binding key —
 //! duplicate bindings replay the cached set, and the inner plan executes
 //! once per *distinct* binding. The cache is an LRU that respects
 //! [`crate::ExecConfig::memory_budget_rows`] through the shared resident
@@ -28,13 +29,12 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use tmql_algebra::{eval, eval_predicate, Env, Plan, ScalarExpr};
+use tmql_algebra::{eval, Plan, ScalarExpr};
 use tmql_model::{Record, Result, Value};
 use tmql_storage::HashIndex;
 
 use crate::exec::ExecContext;
-use crate::op::operator::{build, drain, Batch, BoxedOperator, OpStats, Operator};
-use crate::physical::PhysPlan;
+use crate::op::operator::{Batch, Candidates, Node, Operator};
 
 /// A memoized inner result: the completed subquery value set and its LRU
 /// stamp (monotonic use counter; smallest = least recently used).
@@ -44,20 +44,18 @@ struct CacheEntry {
 }
 
 /// Correlated Apply with inner-plan reuse and binding memoization. Outer
-/// rows stream through batch-at-a-time; the subquery tree is built lazily
-/// on the first row and re-opened (never rebuilt) for every execution.
+/// rows stream through batch-at-a-time; the subquery tree is built once
+/// and re-opened (never rebuilt) for every execution.
 pub struct ApplyOp<'p> {
-    child: BoxedOperator<'p>,
-    subquery: &'p PhysPlan,
+    child: Node<'p>,
+    /// The long-lived inner operator tree (kept across `close`, so nested
+    /// re-opens stay cheap).
+    inner: Node<'p>,
     label: &'p str,
     /// `None` = memoization off (one execution per outer row);
     /// `Some([])` = invariant subquery (single cached execution);
     /// `Some(exprs)` = cache keyed on the evaluated expressions.
     bindings: Option<&'p [ScalarExpr]>,
-    env: Env,
-    /// The long-lived inner operator tree (reused across rows via
-    /// rebind/open; kept across `close` so nested re-opens stay cheap).
-    inner: Option<BoxedOperator<'p>>,
     cache: HashMap<Vec<Value>, CacheEntry>,
     /// stamp → key index for O(log n) LRU eviction.
     lru: BTreeMap<u64, Vec<Value>>,
@@ -66,52 +64,59 @@ pub struct ApplyOp<'p> {
     /// while the operator is open).
     cache_rows: usize,
     gauge_held: bool,
-    stats: OpStats,
 }
 
 impl<'p> ApplyOp<'p> {
-    /// Wrap the outer child; the inner tree is built on first demand.
+    /// Apply `inner` to every row of the outer `child`.
     pub fn new(
-        child: BoxedOperator<'p>,
-        subquery: &'p PhysPlan,
+        child: Node<'p>,
+        inner: Node<'p>,
         label: &'p str,
         bindings: Option<&'p [ScalarExpr]>,
-        env: Env,
     ) -> ApplyOp<'p> {
         ApplyOp {
             child,
-            subquery,
+            inner,
             label,
             bindings,
-            env,
-            inner: None,
             cache: HashMap::new(),
             lru: BTreeMap::new(),
             next_stamp: 0,
             cache_rows: 0,
             gauge_held: false,
-            stats: OpStats::default(),
         }
     }
 
-    /// Execute the inner plan under `sub_env` (building the tree on first
-    /// use, rebinding it afterwards) and collapse the result to a set.
-    fn run_inner(&mut self, sub_env: &Env, ctx: &mut ExecContext<'_>) -> Result<BTreeSet<Value>> {
+    /// Execute the inner plan under the bindings on `ctx`'s env and
+    /// collapse the result to a set.
+    fn run_inner(&mut self, ctx: &mut ExecContext<'_>) -> Result<BTreeSet<Value>> {
         ctx.metrics.apply_invocations += 1;
-        let inner = match self.inner.as_mut() {
-            Some(op) => {
-                op.rebind(sub_env);
-                op
-            }
-            None => {
-                self.inner = Some(build(self.subquery, sub_env));
-                self.inner.as_mut().expect("just built")
-            }
+        let rows = self.inner.run(ctx)?;
+        Ok(rows.iter().map(Plan::row_output_value).collect())
+    }
+
+    /// The subquery's value set for the outer row whose bindings are on
+    /// top of `ctx`'s env: from the cache when memoized, else executed.
+    fn inner_set(&mut self, ctx: &mut ExecContext<'_>) -> Result<BTreeSet<Value>> {
+        let Some(exprs) = self.bindings else {
+            return self.run_inner(ctx);
         };
-        inner.open_timed(ctx)?;
-        let res = drain(inner, ctx);
-        inner.close_timed(ctx);
-        Ok(res?.iter().map(Plan::row_output_value).collect())
+        // A key evaluation failure must not fail the query (the expression
+        // might never be reached under the inner plan's own evaluation
+        // order) — run uncached.
+        let key: Result<Vec<Value>> = exprs.iter().map(|e| eval(e, &mut ctx.env)).collect();
+        let Ok(key) = key else {
+            return self.run_inner(ctx);
+        };
+        if let Some(e) = self.cache.get(&key) {
+            ctx.metrics.apply_cache_hits += 1;
+            let set = e.set.clone();
+            self.touch(&key);
+            return Ok(set);
+        }
+        let set = self.run_inner(ctx)?;
+        self.insert(key, set.clone(), ctx);
+        Ok(set)
     }
 
     /// Move `key` to the most-recently-used position.
@@ -156,23 +161,17 @@ impl<'p> ApplyOp<'p> {
 }
 
 impl Operator for ApplyOp<'_> {
-    fn label(&self) -> String {
-        match self.bindings {
-            None => "Apply".into(),
-            Some([]) => "Apply[once]".into(),
-            Some(_) => "Apply[memo]".into(),
-        }
-    }
-
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         // The cache survives close/open cycles (a nested Apply re-opens
         // this operator once per enclosing binding); only its footprint
-        // leaves and re-enters the resident gauge.
+        // leaves and re-enters the resident gauge. Entries stay valid
+        // across enclosing bindings: keys cover *all* free variables of
+        // the subquery, including ones bound by enclosing Applys.
         if !self.gauge_held {
             ctx.resident_acquire(self.cache_rows);
             self.gauge_held = true;
         }
-        self.child.open_timed(ctx)
+        self.child.open(ctx)
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
@@ -181,37 +180,12 @@ impl Operator for ApplyOp<'_> {
         };
         let mut out = Vec::with_capacity(b.len());
         for row in b.rows {
-            let mut sub_env = self.env.clone();
-            sub_env.push_row(&row);
             ctx.metrics.subquery_invocations += 1;
-            let set = match self.bindings {
-                None => self.run_inner(&sub_env, ctx)?,
-                Some(exprs) => {
-                    // A key evaluation failure must not fail the query
-                    // (the expression might never be reached under the
-                    // inner plan's own evaluation order) — run uncached.
-                    let key: std::result::Result<Vec<Value>, _> = exprs
-                        .iter()
-                        .map(|e| eval(e, &mut sub_env.clone()))
-                        .collect();
-                    match key {
-                        Err(_) => self.run_inner(&sub_env, ctx)?,
-                        Ok(key) => {
-                            if let Some(e) = self.cache.get(&key) {
-                                ctx.metrics.apply_cache_hits += 1;
-                                let set = e.set.clone();
-                                self.touch(&key);
-                                set
-                            } else {
-                                let set = self.run_inner(&sub_env, ctx)?;
-                                self.insert(key, set.clone(), ctx);
-                                set
-                            }
-                        }
-                    }
-                }
-            };
-            out.push(row.extend_field(self.label, Value::Set(set))?);
+            let depth = ctx.env.len();
+            ctx.env.push_row(&row);
+            let set = self.inner_set(ctx);
+            ctx.env.truncate(depth);
+            out.push(row.extend_field(self.label, Value::Set(set?))?);
         }
         Ok(Some(Batch::new(out)))
     }
@@ -221,46 +195,31 @@ impl Operator for ApplyOp<'_> {
             ctx.resident_release(self.cache_rows);
             self.gauge_held = false;
         }
-        if let Some(inner) = self.inner.as_mut() {
-            inner.close_timed(ctx);
-        }
-        self.child.close_timed(ctx);
+        self.inner.close(ctx);
+        self.child.close(ctx);
     }
 
-    fn rebind(&mut self, env: &Env) {
-        // Cache entries stay valid across rebinds: keys cover *all* free
-        // variables of the subquery, including ones bound by enclosing
-        // Apply operators.
-        self.env = env.clone();
-        self.child.rebind(env);
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        // The inner tree is instantiated per binding and does not appear
-        // in the executed profile (mirrors the cost model's exec-order
-        // walk, which skips the Apply subquery).
-        vec![self.child.as_ref()]
+    fn children(&self) -> Vec<&Node<'_>> {
+        // The inner tree runs once per binding and does not appear in the
+        // executed profile (mirrors the cost model's exec-order walk,
+        // which skips the Apply subquery); its spills count as this
+        // node's.
+        vec![&self.child]
     }
 }
 
 /// Replay buffer around a correlation-independent subtree of an Apply
-/// inner plan: the child runs once, re-opens replay the buffer. If the
-/// buffer would exceed the memory budget the operator degrades to
+/// inner plan: the child's first execution streams through and is
+/// recorded, re-opens replay the recording. If the recording would exceed
+/// the memory budget it is dropped and the operator degrades to
 /// pass-through (the child re-executes per open — exactly the un-hoisted
-/// behavior, so hoisting never costs memory it doesn't have).
+/// behavior, so hoisting never costs memory it doesn't have, and the
+/// overflowing execution itself is never repeated).
 pub struct MaterializeOp<'p> {
-    child: BoxedOperator<'p>,
+    child: Node<'p>,
     /// Completed replay buffer (kept across close/open).
     buffer: Option<Vec<Record>>,
-    /// Rows accumulated during the first execution.
+    /// Rows recorded so far during the first execution.
     filling: Vec<Record>,
     cursor: usize,
     /// Set once the first execution overflowed the budget; from then on
@@ -268,12 +227,11 @@ pub struct MaterializeOp<'p> {
     overflowed: bool,
     /// Rows currently counted in the resident gauge.
     acquired: usize,
-    stats: OpStats,
 }
 
 impl<'p> MaterializeOp<'p> {
     /// Wrap a hoisted child subtree.
-    pub fn new(child: BoxedOperator<'p>) -> MaterializeOp<'p> {
+    pub fn new(child: Node<'p>) -> MaterializeOp<'p> {
         MaterializeOp {
             child,
             buffer: None,
@@ -281,16 +239,11 @@ impl<'p> MaterializeOp<'p> {
             cursor: 0,
             overflowed: false,
             acquired: 0,
-            stats: OpStats::default(),
         }
     }
 }
 
 impl Operator for MaterializeOp<'_> {
-    fn label(&self) -> String {
-        "Materialize".into()
-    }
-
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         ctx.resident_release(self.acquired);
         self.acquired = 0;
@@ -302,70 +255,52 @@ impl Operator for MaterializeOp<'_> {
             self.acquired = buf.len();
             return Ok(());
         }
-        self.child.open_timed(ctx)
+        self.child.open(ctx)
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        let n = ctx.batch_size();
-        loop {
-            if let Some(buf) = &self.buffer {
-                if self.cursor >= buf.len() {
-                    return Ok(None);
-                }
-                let end = (self.cursor + n).min(buf.len());
-                let rows = buf[self.cursor..end].to_vec();
-                self.cursor = end;
-                return Ok(Some(Batch::new(rows)));
+        if let Some(buf) = &self.buffer {
+            if self.cursor >= buf.len() {
+                return Ok(None);
             }
-            if self.overflowed {
-                return self.child.pull(ctx);
-            }
-            match self.child.pull(ctx)? {
-                None => {
-                    self.buffer = Some(std::mem::take(&mut self.filling));
-                    // `acquired` already covers the buffer.
-                }
-                Some(b) => {
-                    ctx.resident_acquire(b.len());
-                    self.acquired += b.len();
-                    self.filling.extend(b.rows);
-                    if ctx.over_budget(self.filling.len()) {
-                        // Too big to hold: drop the buffer and degrade to
-                        // pass-through, restarting the child's stream.
-                        ctx.resident_release(self.acquired);
-                        self.acquired = 0;
-                        self.filling.clear();
-                        self.overflowed = true;
-                        self.child.open_timed(ctx)?;
-                    }
+            let end = (self.cursor + ctx.batch_size()).min(buf.len());
+            let rows = buf[self.cursor..end].to_vec();
+            self.cursor = end;
+            return Ok(Some(Batch::new(rows)));
+        }
+        let next = self.child.pull(ctx)?;
+        if self.overflowed {
+            return Ok(next);
+        }
+        match &next {
+            // `acquired` already covers the completed recording.
+            None => self.buffer = Some(std::mem::take(&mut self.filling)),
+            Some(b) => {
+                ctx.resident_acquire(b.len());
+                self.acquired += b.len();
+                self.filling.extend(b.rows.iter().cloned());
+                if ctx.over_budget(self.filling.len()) {
+                    // Too big to hold: stop recording and stream from now
+                    // on.
+                    ctx.resident_release(self.acquired);
+                    self.acquired = 0;
+                    self.filling.clear();
+                    self.overflowed = true;
                 }
             }
         }
+        Ok(next)
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
         ctx.resident_release(self.acquired);
         self.acquired = 0;
         self.filling.clear();
-        self.child.close_timed(ctx);
+        self.child.close(ctx);
     }
 
-    fn rebind(&mut self, env: &Env) {
-        // The subtree is correlation-independent by construction, so the
-        // buffer stays valid; the child still recurses for uniformity.
-        self.child.rebind(env);
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.child.as_ref()]
+    fn children(&self) -> Vec<&Node<'_>> {
+        vec![&self.child]
     }
 }
 
@@ -384,16 +319,13 @@ pub struct HashProbeOp<'p> {
     attr: &'p str,
     key: &'p ScalarExpr,
     pred: &'p ScalarExpr,
-    env: Env,
     /// Built on first demand, kept across open/close.
     index: Option<HashIndex>,
     /// Rows the index covers (its resident-gauge footprint).
     indexed_rows: usize,
-    /// Candidate positions for the current open's key, ascending.
-    positions: Option<Vec<usize>>,
-    cursor: usize,
+    /// Candidate positions for the current open's key.
+    cands: Candidates,
     gauge_held: bool,
-    stats: OpStats,
 }
 
 impl<'p> HashProbeOp<'p> {
@@ -404,7 +336,6 @@ impl<'p> HashProbeOp<'p> {
         attr: &'p str,
         key: &'p ScalarExpr,
         pred: &'p ScalarExpr,
-        env: Env,
     ) -> HashProbeOp<'p> {
         HashProbeOp {
             table,
@@ -412,25 +343,17 @@ impl<'p> HashProbeOp<'p> {
             attr,
             key,
             pred,
-            env,
             index: None,
             indexed_rows: 0,
-            positions: None,
-            cursor: 0,
+            cands: Candidates::default(),
             gauge_held: false,
-            stats: OpStats::default(),
         }
     }
 }
 
 impl Operator for HashProbeOp<'_> {
-    fn label(&self) -> String {
-        format!("HashProbe({}.{})", self.table, self.attr)
-    }
-
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.positions = None;
-        self.cursor = 0;
+        self.cands.reset();
         if self.index.is_some() && !self.gauge_held {
             ctx.resident_acquire(self.indexed_rows);
             self.gauge_held = true;
@@ -448,66 +371,23 @@ impl Operator for HashProbeOp<'_> {
             self.gauge_held = true;
             self.index = Some(built);
         }
-        if self.positions.is_none() {
-            let idx = self.index.as_ref().expect("built above");
-            let positions = match eval(self.key, &mut self.env) {
-                Ok(key) => idx.probe_eq(&key),
-                // Key evaluation failed: fall back to checking every row
-                // (plain scan+filter semantics).
-                Err(_) => (0..self.indexed_rows).collect(),
-            };
-            ctx.metrics.index_probes += 1;
-            ctx.metrics.index_hits += positions.len() as u64;
-            self.positions = Some(positions);
-            self.cursor = 0;
-        }
-        let n = ctx.batch_size();
-        let t = ctx.catalog.table(self.table)?;
-        loop {
-            let positions = self.positions.as_ref().expect("probed above");
-            if self.cursor >= positions.len() {
-                return Ok(None);
-            }
-            let end = (self.cursor + n).min(positions.len());
-            let chunk = &positions[self.cursor..end];
-            self.cursor = end;
-            let candidates = t.fetch_rows(chunk)?;
-            let mut rows = Vec::with_capacity(candidates.len());
-            for row in candidates {
-                let r = Record::new([(self.var.to_string(), Value::Tuple(row))])?;
-                ctx.metrics.comparisons += 1;
-                if crate::op::with_row(&mut self.env, &r, |e| eval_predicate(self.pred, e))? {
-                    rows.push(r);
-                }
-            }
-            if !rows.is_empty() {
-                return Ok(Some(Batch::new(rows)));
-            }
-        }
+        let (index, key, rows) = (&self.index, self.key, self.indexed_rows);
+        self.cands
+            .next_batch(ctx, (self.table, self.var, self.pred), |ctx| {
+                Ok(match (index, eval(key, &mut ctx.env)) {
+                    (Some(idx), Ok(key)) => idx.probe_eq(&key),
+                    // Key evaluation failed: fall back to checking every
+                    // row (plain scan+filter semantics).
+                    _ => (0..rows).collect(),
+                })
+            })
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        self.positions = None;
-        self.cursor = 0;
+        self.cands.reset();
         if self.gauge_held {
             ctx.resident_release(self.indexed_rows);
             self.gauge_held = false;
         }
-    }
-
-    fn rebind(&mut self, env: &Env) {
-        self.env = env.clone();
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![]
     }
 }

@@ -79,72 +79,78 @@ pub fn probe(
 ) -> Result<Vec<Record>> {
     let mut out = Vec::new();
     for l in left {
-        env.push_row(l);
         m.hash_probes += 1;
-        let key = eval_keys(left_keys, env)?;
-        let candidates: &[usize] = match &key {
-            Some(k) => table.index.get(k).map(Vec::as_slice).unwrap_or(&[]),
-            None => &[],
-        };
-        let mut matched = false;
-        let mut nested: BTreeSet<Value> = BTreeSet::new();
-        for &ri in candidates {
-            let r = &table.rows[ri];
-            env.push_row(r);
-            let hit = match residual {
-                Some(p) => {
-                    m.comparisons += 1;
-                    eval_predicate(p, env)
-                }
-                None => Ok(true),
+        with_row(env, l, |env| {
+            let candidates: &[usize] = match eval_keys(left_keys, env)? {
+                Some(k) => table.index.get(&k).map(Vec::as_slice).unwrap_or(&[]),
+                None => &[],
             };
-            let hit = match hit {
-                Ok(h) => h,
-                Err(e) => {
-                    env.pop_n(r.len());
-                    env.pop_n(l.len());
-                    return Err(e);
-                }
-            };
-            if hit {
-                matched = true;
-                match kind {
-                    JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(l.concat(r)?),
-                    JoinKind::Semi | JoinKind::Anti => {
-                        env.pop_n(r.len());
-                        break;
-                    }
-                    JoinKind::Nest { func, .. } => {
-                        nested.insert(eval(func, env)?);
-                    }
-                }
-            }
-            env.pop_n(r.len());
-        }
-        env.pop_n(l.len());
-        match kind {
-            JoinKind::Inner => {}
-            JoinKind::Semi => {
-                if matched {
-                    out.push(l.clone());
-                }
-            }
-            JoinKind::Anti => {
-                if !matched {
-                    out.push(l.clone());
-                }
-            }
-            JoinKind::LeftOuter { right_vars } => {
-                if !matched {
-                    out.push(null_extend(l, right_vars)?);
-                }
-            }
-            JoinKind::Nest { label, .. } => {
-                out.push(l.extend_field(label, Value::Set(nested))?);
-            }
-        }
+            let rows = candidates.iter().map(|&ri| &table.rows[ri]);
+            match_keyed(l, rows, residual, kind, env, m, &mut out)
+        })?;
     }
     Ok(out)
+}
+
+/// Join one left row (its bindings already on `env`) against its
+/// equal-key right rows under the optional `residual` predicate, and emit
+/// what `kind` makes of it. Shared by the hash probe and the sort-merge
+/// group join.
+pub(crate) fn match_keyed<'r>(
+    l: &Record,
+    candidates: impl IntoIterator<Item = &'r Record>,
+    residual: Option<&ScalarExpr>,
+    kind: &JoinKind,
+    env: &mut Env,
+    m: &mut Metrics,
+    out: &mut Vec<Record>,
+) -> Result<()> {
+    let mut matched = false;
+    let mut nested: BTreeSet<Value> = BTreeSet::new();
+    for r in candidates {
+        let decided = with_row(env, r, |env| {
+            if let Some(p) = residual {
+                m.comparisons += 1;
+                if !eval_predicate(p, env)? {
+                    return Ok(false);
+                }
+            }
+            matched = true;
+            match kind {
+                JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(l.concat(r)?),
+                JoinKind::Semi | JoinKind::Anti => return Ok(true),
+                JoinKind::Nest { func, .. } => {
+                    nested.insert(eval(func, env)?);
+                }
+            }
+            Ok(false)
+        })?;
+        if decided {
+            break;
+        }
+    }
+    match kind {
+        JoinKind::Inner => {}
+        JoinKind::Semi => {
+            if matched {
+                out.push(l.clone());
+            }
+        }
+        JoinKind::Anti => {
+            if !matched {
+                out.push(l.clone());
+            }
+        }
+        JoinKind::LeftOuter { right_vars } => {
+            if !matched {
+                out.push(null_extend(l, right_vars)?);
+            }
+        }
+        JoinKind::Nest { label, .. } => {
+            out.push(l.extend_field(label, Value::Set(nested))?);
+        }
+    }
+    Ok(())
 }
 
 /// One-shot hash join of materialized operands on equi-keys plus an

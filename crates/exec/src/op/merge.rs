@@ -7,14 +7,13 @@
 //! NULL keys are excluded (they cannot equi-match) except that for the
 //! outer/anti/nest kinds the left row must still surface as dangling.
 
-use std::collections::BTreeSet;
-
-use tmql_algebra::{eval, eval_predicate, Env, ScalarExpr};
+use tmql_algebra::{Env, ScalarExpr};
 use tmql_model::{Record, Result, Value};
 
 use crate::metrics::Metrics;
 use crate::physical::JoinKind;
 
+use super::hash::match_keyed;
 use super::{eval_keys, null_extend, with_row};
 
 /// One operand row tagged with its evaluated key (`None` = NULL key).
@@ -94,64 +93,10 @@ pub fn join(
         }
         for lrow in &ls[li..lj] {
             let l = lrow.row;
-            env.push_row(l);
-            let mut matched = false;
-            let mut nested: BTreeSet<Value> = BTreeSet::new();
-            for rrow in &rs[ri..rj] {
-                let r = rrow.row;
-                env.push_row(r);
-                let hit = match residual {
-                    Some(p) => {
-                        m.comparisons += 1;
-                        eval_predicate(p, env)
-                    }
-                    None => Ok(true),
-                };
-                let hit = match hit {
-                    Ok(h) => h,
-                    Err(e) => {
-                        env.pop_n(r.len());
-                        env.pop_n(l.len());
-                        return Err(e);
-                    }
-                };
-                if hit {
-                    matched = true;
-                    match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(l.concat(r)?),
-                        JoinKind::Semi | JoinKind::Anti => {
-                            env.pop_n(r.len());
-                            break;
-                        }
-                        JoinKind::Nest { func, .. } => {
-                            nested.insert(eval(func, env)?);
-                        }
-                    }
-                }
-                env.pop_n(r.len());
-            }
-            env.pop_n(l.len());
-            match kind {
-                JoinKind::Inner => {}
-                JoinKind::Semi => {
-                    if matched {
-                        out.push(l.clone());
-                    }
-                }
-                JoinKind::Anti => {
-                    if !matched {
-                        out.push(l.clone());
-                    }
-                }
-                JoinKind::LeftOuter { right_vars } => {
-                    if !matched {
-                        out.push(null_extend(l, right_vars)?);
-                    }
-                }
-                JoinKind::Nest { label, .. } => {
-                    out.push(l.extend_field(label, Value::Set(nested))?);
-                }
-            }
+            let group = rs[ri..rj].iter().map(|k| k.row);
+            with_row(env, l, |env| {
+                match_keyed(l, group, residual, kind, env, m, &mut out)
+            })?;
         }
         li = lj;
         ri = rj;
@@ -174,6 +119,7 @@ fn emit_dangling(l: &Record, kind: &JoinKind, out: &mut Vec<Record>) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use tmql_algebra::ScalarExpr as E;
 
     fn rows(name: &str, vals: &[(i64, i64)], f1: &str, f2: &str) -> Vec<Record> {

@@ -46,15 +46,17 @@ pub fn eval_keys(keys: &[tmql_algebra::ScalarExpr], env: &mut Env) -> Result<Opt
     Ok(Some(out))
 }
 
-/// Push a row's bindings, run `f`, pop them again.
+/// Push a row's bindings, run `f`, then restore `env` to its entry depth
+/// (on success and on error alike).
 pub fn with_row<T>(
     env: &mut Env,
     row: &Record,
     f: impl FnOnce(&mut Env) -> Result<T>,
 ) -> Result<T> {
+    let depth = env.len();
     env.push_row(row);
     let r = f(env);
-    env.pop_n(row.len());
+    env.truncate(depth);
     r
 }
 
@@ -99,6 +101,13 @@ mod tests {
         let row = Record::new([("a".to_string(), Value::Int(1))]).unwrap();
         let v = with_row(&mut env, &row, |e| e.get("a").cloned()).unwrap();
         assert_eq!(v, Value::Int(1));
+        assert!(env.is_empty());
+        // An error path that left extra bindings behind is restored too.
+        let err = with_row(&mut env, &row, |e| {
+            e.push("stray", Value::Int(2));
+            e.get("missing").cloned()
+        });
+        assert!(err.is_err());
         assert!(env.is_empty());
     }
 

@@ -16,7 +16,7 @@ use tmql_model::{Record, Result, Value};
 use crate::metrics::Metrics;
 use crate::physical::JoinKind;
 
-use super::null_extend;
+use super::{null_extend, with_row};
 
 /// Per-left-row state of a block nested-loop join, carried across inner
 /// chunks: which left rows have matched so far, and (for the nest join)
@@ -64,42 +64,36 @@ pub fn join_chunk(
             // Existence already decided in an earlier chunk (or row).
             continue;
         }
-        env.push_row(l);
-        for r in chunk {
-            env.push_row(r);
-            m.comparisons += 1;
-            let hit = eval_predicate(pred, env);
-            let hit = match hit {
-                Ok(h) => h,
-                Err(e) => {
-                    env.pop_n(r.len());
-                    env.pop_n(l.len());
-                    return Err(e);
-                }
-            };
-            if hit {
-                let first = !state.matched[i];
-                state.matched[i] = true;
-                match kind {
-                    JoinKind::Inner | JoinKind::LeftOuter { .. } => {
-                        out.push(l.concat(r)?);
+        with_row(env, l, |env| {
+            for r in chunk {
+                m.comparisons += 1;
+                let decided = with_row(env, r, |env| {
+                    if !eval_predicate(pred, env)? {
+                        return Ok(false);
                     }
-                    JoinKind::Semi | JoinKind::Anti => {
-                        // Existence decided; no need to scan further.
-                        if first && matches!(kind, JoinKind::Semi) {
-                            out.push(l.clone());
+                    let first = !state.matched[i];
+                    state.matched[i] = true;
+                    match kind {
+                        JoinKind::Inner | JoinKind::LeftOuter { .. } => out.push(l.concat(r)?),
+                        JoinKind::Semi | JoinKind::Anti => {
+                            if first && matches!(kind, JoinKind::Semi) {
+                                out.push(l.clone());
+                            }
+                            return Ok(true);
                         }
-                        env.pop_n(r.len());
-                        break;
+                        JoinKind::Nest { func, .. } => {
+                            state.nested[i].insert(eval(func, env)?);
+                        }
                     }
-                    JoinKind::Nest { func, .. } => {
-                        state.nested[i].insert(eval(func, env)?);
-                    }
+                    Ok(false)
+                })?;
+                if decided {
+                    // Existence decided; no need to scan further.
+                    break;
                 }
             }
-            env.pop_n(r.len());
-        }
-        env.pop_n(l.len());
+            Ok(())
+        })?;
     }
     Ok(())
 }

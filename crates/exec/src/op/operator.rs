@@ -18,10 +18,12 @@
 //! hash joins, partitioned grouping / set-op / sort state, hybrid dedup) —
 //! see [`crate::op::spill`].
 //!
-//! The operator tree borrows the [`PhysPlan`] it was built from (no
-//! expression cloning) and owns only its correlation [`Env`].
-//! [`Apply`](PhysPlan::Apply) builds its subquery tree **once** and
-//! re-opens it per outer row through [`Operator::rebind`] — the true
+//! [`build`] wraps every operator in a [`Node`], which owns what all
+//! operators share: the [`PhysPlan`] node it came from (no expression
+//! cloning; the profile label is [`PhysPlan::op_label`]), its [`OpStats`]
+//! and the metering of every call. Correlation bindings live in one
+//! [`Env`] on the [`ExecContext`]: [`Apply`](PhysPlan::Apply) pushes each
+//! outer row there and re-opens one long-lived subquery tree — the true
 //! nested loop the paper's unnesting removes, without per-row planning or
 //! allocation (see [`crate::op::apply`]).
 
@@ -31,7 +33,7 @@ use std::hash::{Hash, Hasher};
 use tmql_algebra::{eval, eval_predicate, Env, Plan, ScalarExpr};
 use tmql_model::{Record, Result, Value};
 use tmql_storage::spill::{RunReader, SpillFile};
-use tmql_storage::Table;
+use tmql_storage::{OrdIndex, Table};
 
 use crate::exec::ExecContext;
 use crate::metrics::Metrics;
@@ -75,7 +77,10 @@ pub struct OpStats {
     /// Records this operator wrote to spill runs (0 unless a
     /// [`crate::ExecConfig::memory_budget_rows`] forced it to disk;
     /// repartitioning passes re-count their rows, mirroring
-    /// [`Metrics::rows_spilled`]).
+    /// [`Metrics::rows_spilled`]). This is the node's share of the
+    /// [`Metrics::rows_spilled`] growth during its own calls, minus its
+    /// profile children's shares, so an `Apply` also reports the spills of
+    /// its inner tree.
     pub rows_spilled: u64,
     /// Wall-clock nanoseconds spent inside this operator's `open`,
     /// `next_batch`, and `close` calls, *inclusive* of its children
@@ -90,22 +95,14 @@ pub struct OpStats {
 
 /// A physical operator in the streaming executor.
 ///
-/// Lifecycle: `open` (reset state, recurse into children), then `pull`
-/// (the metered wrapper around `next_batch`) until `None`, then `close`
-/// (release buffered state, recurse). Implementations return `None` only
-/// when exhausted and never return an empty batch.
+/// Lifecycle: `open` (reset state, open children), then `next_batch` until
+/// `None`, then `close` (release buffered state, close children).
+/// Implementations return `None` only when exhausted and never return an
+/// empty batch. They reach their children through the children's
+/// [`Node`]s, never directly, so every call is metered.
 pub trait Operator {
-    /// Display label (mirrors [`PhysPlan::op_label`]).
-    fn label(&self) -> String;
-
     /// Reset to the start of the stream and open children.
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()>;
-
-    /// Replace the correlation environment wholesale and recurse into
-    /// children. `Apply` uses this to re-point one long-lived subquery
-    /// tree at the next outer row's bindings before re-`open`ing it;
-    /// stream state is untouched (that is `open`'s job).
-    fn rebind(&mut self, env: &Env);
 
     /// Produce the next batch, or `None` when exhausted.
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>>;
@@ -113,70 +110,107 @@ pub trait Operator {
     /// Release buffered state and close children.
     fn close(&mut self, ctx: &mut ExecContext<'_>);
 
-    /// Output counters so far.
-    fn stats(&self) -> OpStats;
+    /// Children shown under this operator in the profile, left to right.
+    fn children(&self) -> Vec<&Node<'_>> {
+        Vec::new()
+    }
+}
 
-    /// Mutable access for the metering in [`Operator::pull`].
-    fn stats_mut(&mut self) -> &mut OpStats;
+/// One operator of the executed tree together with what every operator
+/// shares: the plan node it was built from, its output counters, and the
+/// metering of its calls (row/batch counters, wall-clock spans, spill
+/// attribution). Parents and drivers call the node's `open` / `pull` /
+/// `close`, never the operator's own methods.
+pub struct Node<'p> {
+    plan: &'p PhysPlan,
+    op: Box<dyn Operator + 'p>,
+    /// `rows_spilled` here is inclusive of the children's calls;
+    /// [`Node::stats`] subtracts theirs.
+    stats: OpStats,
+}
 
-    /// Children, left to right (for profile rendering).
-    fn children(&self) -> Vec<&dyn Operator>;
-
-    /// Metered `next_batch`: updates the global batch/row counters and the
-    /// per-operator stats. Parents and drivers call this, not `next_batch`.
-    fn pull(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        let span = ctx.collect_timing().then(std::time::Instant::now);
-        let next = self.next_batch(ctx);
-        if let Some(t) = span {
-            self.stats_mut().wall_nanos += t.elapsed().as_nanos() as u64;
-        }
-        match next? {
-            Some(b) => {
-                ctx.metrics.batches_emitted += 1;
-                ctx.metrics.rows_emitted += b.len() as u64;
-                let s = self.stats_mut();
-                s.batches_out += 1;
-                s.rows_out += b.len() as u64;
-                Ok(Some(b))
-            }
-            None => Ok(None),
+impl<'p> Node<'p> {
+    fn new(plan: &'p PhysPlan, op: impl Operator + 'p) -> Node<'p> {
+        Node {
+            plan,
+            op: Box::new(op),
+            stats: OpStats::default(),
         }
     }
 
-    /// `open` wrapped in a wall-clock span (when
-    /// [`crate::ExecConfig::collect_timing`] is on). Parents and drivers
-    /// call this, not `open`, so every operator's span also covers its
-    /// setup work.
-    fn open_timed(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    /// Run one operator call, charging its wall-clock span (when
+    /// [`crate::ExecConfig::collect_timing`] is on) and the spill traffic
+    /// it caused to this node.
+    fn metered<T>(
+        &mut self,
+        ctx: &mut ExecContext<'_>,
+        call: impl FnOnce(&mut dyn Operator, &mut ExecContext<'_>) -> T,
+    ) -> T {
         let span = ctx.collect_timing().then(std::time::Instant::now);
-        let r = self.open(ctx);
+        let spilled = ctx.metrics.rows_spilled;
+        let r = call(self.op.as_mut(), ctx);
+        self.stats.rows_spilled += ctx.metrics.rows_spilled - spilled;
         if let Some(t) = span {
-            self.stats_mut().wall_nanos += t.elapsed().as_nanos() as u64;
+            self.stats.wall_nanos += t.elapsed().as_nanos() as u64;
         }
         r
     }
 
-    /// `close` wrapped in a wall-clock span, mirroring
-    /// [`Operator::open_timed`].
-    fn close_timed(&mut self, ctx: &mut ExecContext<'_>) {
-        let span = ctx.collect_timing().then(std::time::Instant::now);
+    /// Metered [`Operator::open`].
+    pub fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+        self.metered(ctx, |op, ctx| op.open(ctx))
+    }
+
+    /// Metered [`Operator::next_batch`]: also updates the global and the
+    /// per-operator batch/row counters.
+    pub fn pull(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
+        let next = self.metered(ctx, |op, ctx| op.next_batch(ctx))?;
+        if let Some(b) = &next {
+            ctx.metrics.batches_emitted += 1;
+            ctx.metrics.rows_emitted += b.len() as u64;
+            self.stats.batches_out += 1;
+            self.stats.rows_out += b.len() as u64;
+        }
+        Ok(next)
+    }
+
+    /// Metered [`Operator::close`].
+    pub fn close(&mut self, ctx: &mut ExecContext<'_>) {
+        self.metered(ctx, |op, ctx| op.close(ctx))
+    }
+
+    /// Open, drain to completion, and close (also when open or a pull
+    /// fails), returning every row.
+    pub fn run(&mut self, ctx: &mut ExecContext<'_>) -> Result<Vec<Record>> {
+        let result = self.open(ctx).and_then(|()| {
+            let mut out = Vec::new();
+            while let Some(b) = self.pull(ctx)? {
+                out.extend(b.rows);
+            }
+            Ok(out)
+        });
         self.close(ctx);
-        if let Some(t) = span {
-            self.stats_mut().wall_nanos += t.elapsed().as_nanos() as u64;
+        result
+    }
+
+    /// Display label ([`PhysPlan::op_label`]).
+    pub fn label(&self) -> String {
+        self.plan.op_label()
+    }
+
+    /// Output counters so far.
+    pub fn stats(&self) -> OpStats {
+        let children: u64 = self.children().iter().map(|c| c.stats.rows_spilled).sum();
+        OpStats {
+            rows_spilled: self.stats.rows_spilled.saturating_sub(children),
+            ..self.stats
         }
     }
-}
 
-/// An owned operator borrowing plan nodes with lifetime `'p`.
-pub type BoxedOperator<'p> = Box<dyn Operator + 'p>;
-
-/// Drain an operator to completion through the metered [`Operator::pull`].
-pub fn drain(op: &mut BoxedOperator<'_>, ctx: &mut ExecContext<'_>) -> Result<Vec<Record>> {
-    let mut out = Vec::new();
-    while let Some(b) = op.pull(ctx)? {
-        out.extend(b.rows);
+    /// Profile children, left to right.
+    pub fn children(&self) -> Vec<&Node<'_>> {
+        self.op.children()
     }
-    Ok(out)
 }
 
 /// One executed operator's profile line: its tree position, output
@@ -219,27 +253,27 @@ impl OpProfile {
 /// Collect per-operator profiles in pre-order. `est` supplies estimated
 /// rows in the same pre-order (as produced by the cost model's
 /// exec-order walk over the physical plan the tree was built from).
-pub fn collect_profile(root: &dyn Operator, est: Option<&[f64]>) -> Vec<OpProfile> {
+pub fn collect_profile(root: &Node<'_>, est: Option<&[f64]>) -> Vec<OpProfile> {
     fn go(
-        op: &dyn Operator,
+        node: &Node<'_>,
         depth: usize,
         est: Option<&[f64]>,
         idx: &mut usize,
         out: &mut Vec<OpProfile>,
     ) {
-        let s = op.stats();
+        let s = node.stats();
         let est_rows = est.and_then(|v| v.get(*idx)).copied();
         *idx += 1;
         out.push(OpProfile {
             depth,
-            label: op.label(),
+            label: node.label(),
             rows_out: s.rows_out,
             batches_out: s.batches_out,
             rows_spilled: s.rows_spilled,
             wall_nanos: s.wall_nanos,
             est_rows,
         });
-        for c in op.children() {
+        for c in node.children() {
             go(c, depth + 1, est, idx, out);
         }
     }
@@ -289,7 +323,7 @@ pub fn render_profile(entries: &[OpProfile]) -> String {
 
 /// Render the operator tree with per-operator output metrics (the
 /// post-execution profile shown by `EXPLAIN`).
-pub fn render_tree(root: &dyn Operator) -> String {
+pub fn render_tree(root: &Node<'_>) -> String {
     render_profile(&collect_profile(root, None))
 }
 
@@ -334,19 +368,132 @@ pub(crate) fn pop_carry(
     Some(Batch::new(rows))
 }
 
-/// Build the operator tree for a physical plan. `env` carries correlation
-/// bindings (outer rows of enclosing `Apply` operators); each operator
-/// keeps its own copy so subtrees can be re-instantiated per outer row.
-pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
+/// The output side of an operator whose input batches expand into any
+/// number of rows (joins, μ): expanded rows wait in a carry queue, which
+/// is resident state, and leave in full batches, the last one partial.
+#[derive(Default)]
+struct Carry {
+    rows: VecDeque<Record>,
+    done: bool,
+}
+
+impl Carry {
+    /// Drop queued rows and rewind (open / close).
+    fn reset(&mut self, ctx: &mut ExecContext<'_>) {
+        ctx.resident_release(self.rows.len());
+        self.rows.clear();
+        self.done = false;
+    }
+
+    /// Next batch: pull `input` and `expand` each of its batches until a
+    /// full batch is queued or the input is exhausted.
+    fn next_batch(
+        &mut self,
+        input: &mut Node<'_>,
+        ctx: &mut ExecContext<'_>,
+        mut expand: impl FnMut(Vec<Record>, &mut ExecContext<'_>) -> Result<Vec<Record>>,
+    ) -> Result<Option<Batch>> {
+        let n = ctx.batch_size();
+        loop {
+            if self.rows.len() >= n || (self.done && !self.rows.is_empty()) {
+                return Ok(pop_carry(&mut self.rows, n, ctx));
+            }
+            if self.done {
+                return Ok(None);
+            }
+            match input.pull(ctx)? {
+                None => self.done = true,
+                Some(b) => {
+                    let out = expand(b.rows, ctx)?;
+                    ctx.resident_acquire(out.len());
+                    self.rows.extend(out);
+                }
+            }
+        }
+    }
+}
+
+/// The ordered index a plan expects on `table.attr`.
+fn index_on<'c>(ctx: &ExecContext<'c>, table: &str, attr: &str) -> Result<&'c OrdIndex> {
+    ctx.catalog.index_on(table, attr).ok_or_else(|| {
+        tmql_model::ModelError::SchemaError(format!(
+            "plan expects an index on {table}.{attr} but none exists"
+        ))
+    })
+}
+
+/// The candidate row positions of one index probe, streamed in ascending
+/// position order through [`tmql_storage::Table::fetch_rows`] (consecutive
+/// candidates coalesce into single page-friendly batch reads). A probe
+/// returns a **superset** of the qualifying rows — int/float key promotion
+/// and NaN totality are handled by widening, not by trusting the index —
+/// so the full predicate is re-checked against every candidate, and only
+/// non-empty batches are emitted.
+#[derive(Default)]
+pub(crate) struct Candidates {
+    /// `None` until the first pull after `reset` probes.
+    positions: Option<Vec<usize>>,
+    cursor: usize,
+}
+
+impl Candidates {
+    /// Forget the probe (open / close).
+    pub(crate) fn reset(&mut self) {
+        self.positions = None;
+        self.cursor = 0;
+    }
+
+    /// Next batch of qualifying rows of `table`, bound to `var`; `probe`
+    /// computes the positions on the first call.
+    pub(crate) fn next_batch(
+        &mut self,
+        ctx: &mut ExecContext<'_>,
+        (table, var, pred): (&str, &str, &ScalarExpr),
+        probe: impl FnOnce(&mut ExecContext<'_>) -> Result<Vec<usize>>,
+    ) -> Result<Option<Batch>> {
+        if self.positions.is_none() {
+            let positions = probe(ctx)?;
+            ctx.metrics.index_probes += 1;
+            ctx.metrics.index_hits += positions.len() as u64;
+            self.positions = Some(positions);
+        }
+        let positions = self.positions.as_deref().unwrap_or_default();
+        let t = ctx.catalog.table(table)?;
+        while self.cursor < positions.len() {
+            let end = (self.cursor + ctx.batch_size()).min(positions.len());
+            let chunk = &positions[self.cursor..end];
+            self.cursor = end;
+            let mut rows = Vec::with_capacity(chunk.len());
+            for row in t.fetch_rows(chunk)? {
+                let r = Record::new([(var.to_string(), Value::Tuple(row))])?;
+                ctx.metrics.comparisons += 1;
+                if op::with_row(&mut ctx.env, &r, |e| eval_predicate(pred, e))? {
+                    rows.push(r);
+                }
+            }
+            if !rows.is_empty() {
+                return Ok(Some(Batch::new(rows)));
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// Build the operator tree for a physical plan. Correlation bindings are
+/// not part of the tree: every operator evaluates against the
+/// [`ExecContext`]'s env, so one tree serves every outer row of an Apply.
+pub fn build(plan: &PhysPlan) -> Node<'_> {
     match plan {
-        PhysPlan::ScanTable { table, var } => Box::new(ScanTableOp {
-            table,
-            var,
-            pos: 0,
-            carry: VecDeque::new(),
-            exhausted: false,
-            stats: OpStats::default(),
-        }),
+        PhysPlan::ScanTable { table, var } => Node::new(
+            plan,
+            ScanTableOp {
+                table,
+                var,
+                pos: 0,
+                carry: VecDeque::new(),
+                exhausted: false,
+            },
+        ),
         PhysPlan::IndexScan {
             table,
             var,
@@ -355,19 +502,19 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             lo,
             hi,
             pred,
-        } => Box::new(IndexScanOp {
-            table,
-            var,
-            attr,
-            eq: eq.as_ref(),
-            lo: lo.as_ref(),
-            hi: hi.as_ref(),
-            pred,
-            env: env.clone(),
-            positions: None,
-            cursor: 0,
-            stats: OpStats::default(),
-        }),
+        } => Node::new(
+            plan,
+            IndexScanOp {
+                table,
+                var,
+                attr,
+                eq: eq.as_ref(),
+                lo: lo.as_ref(),
+                hi: hi.as_ref(),
+                pred,
+                cands: Candidates::default(),
+            },
+        ),
         PhysPlan::IndexNLJoin {
             left,
             right_table,
@@ -376,88 +523,83 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             key,
             pred,
             kind,
-        } => Box::new(IndexNLJoinOp {
-            left: build(left, env),
-            right_table,
-            right_var,
-            attr,
-            key,
-            pred,
-            kind,
-            env: env.clone(),
-            carry: VecDeque::new(),
-            done: false,
-            stats: OpStats::default(),
-        }),
-        PhysPlan::ScanExpr { expr, var } => Box::new(ScanExprOp {
-            expr,
-            var,
-            env: env.clone(),
-            items: None,
-            overflow: None,
-            overflow_reader: None,
-            stats: OpStats::default(),
-        }),
-        PhysPlan::Filter { input, pred } => Box::new(FilterOp {
-            child: build(input, env),
-            pred,
-            env: env.clone(),
-            stats: OpStats::default(),
-        }),
-        PhysPlan::Map { input, expr, var } => Box::new(MapOp {
-            child: build(input, env),
-            expr,
-            var,
-            env: env.clone(),
-            dedup: SpillDedup::new(),
-            sealed: false,
-            stats: OpStats::default(),
-        }),
-        PhysPlan::Extend { input, expr, var } => Box::new(ExtendOp {
-            child: build(input, env),
-            expr,
-            var,
-            env: env.clone(),
-            stats: OpStats::default(),
-        }),
-        PhysPlan::Project { input, vars } => Box::new(ProjectOp {
-            child: build(input, env),
-            vars: vars.iter().map(String::as_str).collect(),
-            dedup: SpillDedup::new(),
-            sealed: false,
-            stats: OpStats::default(),
-        }),
+        } => Node::new(
+            plan,
+            IndexNLJoinOp {
+                left: build(left),
+                right_table,
+                right_var,
+                attr,
+                key,
+                pred,
+                kind,
+                out: Carry::default(),
+            },
+        ),
+        PhysPlan::ScanExpr { expr, var } => Node::new(
+            plan,
+            ScanExprOp {
+                expr,
+                var,
+                items: None,
+                overflow: None,
+                overflow_reader: None,
+            },
+        ),
+        PhysPlan::Filter { input, pred } => Node::new(
+            plan,
+            FilterOp {
+                child: build(input),
+                pred,
+            },
+        ),
+        PhysPlan::Map { input, expr, var } => {
+            DistinctOp::node(plan, build(input), RowFn::Map { expr, var })
+        }
+        PhysPlan::Project { input, vars } => DistinctOp::node(
+            plan,
+            build(input),
+            RowFn::Project(vars.iter().map(String::as_str).collect()),
+        ),
+        PhysPlan::Extend { input, expr, var } => Node::new(
+            plan,
+            ExtendOp {
+                child: build(input),
+                expr,
+                var,
+            },
+        ),
         PhysPlan::Unnest {
             input,
             expr,
             elem_var,
             drop_vars,
-        } => Box::new(UnnestOp {
-            child: build(input, env),
-            expr,
-            elem_var,
-            drop_vars,
-            env: env.clone(),
-            carry: VecDeque::new(),
-            done: false,
-            stats: OpStats::default(),
-        }),
+        } => Node::new(
+            plan,
+            UnnestOp {
+                child: build(input),
+                expr,
+                elem_var,
+                drop_vars,
+                out: Carry::default(),
+            },
+        ),
         PhysPlan::NlJoin {
             left,
             right,
             pred,
             kind,
-        } => Box::new(NlJoinOp {
-            left: build(left, env),
-            right: build(right, env),
-            pred,
-            kind,
-            env: env.clone(),
-            inner: None,
-            carry: VecDeque::new(),
-            done: false,
-            stats: OpStats::default(),
-        }),
+        } => Node::new(
+            plan,
+            NlJoinOp {
+                left: build(left),
+                right: build(right),
+                pred,
+                kind,
+                inner: None,
+                out: Carry::default(),
+            },
+        ),
         PhysPlan::HashJoin {
             left,
             right,
@@ -465,38 +607,38 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             right_keys,
             residual,
             kind,
-        } => Box::new(HashJoinOp {
-            left: build(left, env),
-            right: build(right, env),
-            left_keys,
-            right_keys,
-            residual: residual.as_ref(),
-            kind,
-            env: env.clone(),
-            // Build rows are partition state; probe rows drive output.
-            // NULL build keys never match: drop them before they hit
-            // disk. NULL probe keys go to partition 0, where they probe
-            // empty and take the kind's dangling path.
-            grace: Grace::new(
-                vec![
-                    Side {
-                        part: keys_part(right_keys),
-                        drop_nullkey: true,
-                    },
-                    Side {
-                        part: keys_part(left_keys),
-                        drop_nullkey: false,
-                    },
-                ],
-                0..1,
-                1..2,
-            ),
-            table: None,
-            built: false,
-            carry: VecDeque::new(),
-            done: false,
-            stats: OpStats::default(),
-        }),
+        } => Node::new(
+            plan,
+            HashJoinOp {
+                left: build(left),
+                right: build(right),
+                left_keys,
+                right_keys,
+                residual: residual.as_ref(),
+                kind,
+                // Build rows are partition state; probe rows drive output.
+                // NULL build keys never match: drop them before they hit
+                // disk. NULL probe keys go to partition 0, where they probe
+                // empty and take the kind's dangling path.
+                grace: Grace::new(
+                    vec![
+                        Side {
+                            part: keys_part(right_keys),
+                            drop_nullkey: true,
+                        },
+                        Side {
+                            part: keys_part(left_keys),
+                            drop_nullkey: false,
+                        },
+                    ],
+                    0..1,
+                    1..2,
+                ),
+                table: None,
+                built: false,
+                out: Carry::default(),
+            },
+        ),
         PhysPlan::MergeJoin {
             left,
             right,
@@ -504,13 +646,12 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             right_keys,
             residual,
             kind,
-        } => Breaker::boxed(
-            format!("MergeJoin[{}]", kind.name()),
+        } => Breaker::node(
+            plan,
             vec![
-                (build(left, env), keys_part(left_keys)),
-                (build(right, env), keys_part(right_keys)),
+                (build(left), keys_part(left_keys)),
+                (build(right), keys_part(right_keys)),
             ],
-            env,
             Box::new(move |ins, env, m| {
                 merge::join(
                     &ins[0],
@@ -530,11 +671,11 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             value,
             label,
             star,
-        } => Breaker::boxed(
-            if *star { "Nest[ν*]" } else { "Nest[ν]" }.into(),
+        } => Breaker::node(
+            plan,
             // Groups co-partition by the hash of the grouping fields.
             vec![(
-                build(input, env),
+                build(input),
                 Box::new(move |r, _env, seed| {
                     let mut h = spill::seed_hasher(seed);
                     for k in keys {
@@ -543,7 +684,6 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
                     Ok(Some(h.finish()))
                 }),
             )],
-            env,
             Box::new(move |ins, env, m| group::nest(&ins[0], keys, value, label, *star, env, m)),
         ),
         PhysPlan::GroupAgg {
@@ -551,10 +691,10 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             keys,
             aggs,
             var,
-        } => Breaker::boxed(
-            "GroupAgg".into(),
+        } => Breaker::node(
+            plan,
             vec![(
-                build(input, env),
+                build(input),
                 Box::new(move |r, env, seed| {
                     let mut h = spill::seed_hasher(seed);
                     op::with_row(env, r, |e| {
@@ -566,7 +706,6 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
                     Ok(Some(h.finish()))
                 }),
             )],
-            env,
             Box::new(move |ins, env, m| group::group_agg(&ins[0], keys, aggs, var, env, m)),
         ),
         PhysPlan::SetOp {
@@ -574,15 +713,11 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             left,
             right,
             var,
-        } => Breaker::boxed(
-            "SetOp".into(),
+        } => Breaker::node(
+            plan,
             // Equal output values co-partition, so per-partition
             // union/intersect/except concatenate to the global result.
-            vec![
-                (build(left, env), value_part()),
-                (build(right, env), value_part()),
-            ],
-            env,
+            vec![(build(left), value_part()), (build(right), value_part())],
             Box::new(move |ins, _env, m| group::set_op(*kind, &ins[0], &ins[1], var, m)),
         ),
         PhysPlan::Apply {
@@ -590,15 +725,17 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             subquery,
             label,
             bindings,
-        } => Box::new(crate::op::apply::ApplyOp::new(
-            build(input, env),
-            subquery,
-            label,
-            bindings.as_deref(),
-            env.clone(),
-        )),
+        } => Node::new(
+            plan,
+            crate::op::apply::ApplyOp::new(
+                build(input),
+                build(subquery),
+                label,
+                bindings.as_deref(),
+            ),
+        ),
         PhysPlan::Materialize { input } => {
-            Box::new(crate::op::apply::MaterializeOp::new(build(input, env)))
+            Node::new(plan, crate::op::apply::MaterializeOp::new(build(input)))
         }
         PhysPlan::HashProbe {
             table,
@@ -606,14 +743,10 @@ pub fn build<'p>(plan: &'p PhysPlan, env: &Env) -> BoxedOperator<'p> {
             attr,
             key,
             pred,
-        } => Box::new(crate::op::apply::HashProbeOp::new(
-            table,
-            var,
-            attr,
-            key,
-            pred,
-            env.clone(),
-        )),
+        } => Node::new(
+            plan,
+            crate::op::apply::HashProbeOp::new(table, var, attr, key, pred),
+        ),
     }
 }
 
@@ -641,7 +774,6 @@ struct ScanTableOp<'p> {
     pos: usize,
     carry: VecDeque<Record>,
     exhausted: bool,
-    stats: OpStats,
 }
 
 /// Rows `start..start + n` of `table`, each bound to `var`.
@@ -654,10 +786,6 @@ fn scan_rows(table: &Table, var: &str, start: usize, n: usize) -> Result<Vec<Rec
 }
 
 impl Operator for ScanTableOp<'_> {
-    fn label(&self) -> String {
-        format!("Scan({})", self.table)
-    }
-
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         self.pos = 0;
         ctx.resident_release(self.carry.len());
@@ -712,30 +840,11 @@ impl Operator for ScanTableOp<'_> {
         ctx.resident_release(self.carry.len());
         self.carry.clear();
     }
-
-    fn rebind(&mut self, _env: &Env) {}
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![]
-    }
 }
 
 /// Index-backed selection: probe the secondary index on `table.attr` for
-/// the candidate row positions once at first pull, then stream them in
-/// ascending position order through [`tmql_storage::Table::fetch_rows`]
-/// (consecutive candidates coalesce into single page-friendly batch
-/// reads). The probe result is a **superset** of the qualifying rows —
-/// int/float key promotion and NaN totality are handled by widening, not
-/// by trusting the index — so the full original predicate is re-evaluated
-/// against every candidate before it is emitted.
+/// the candidate row positions once at first pull, then stream them as
+/// [`Candidates`].
 struct IndexScanOp<'p> {
     table: &'p str,
     var: &'p str,
@@ -744,99 +853,34 @@ struct IndexScanOp<'p> {
     lo: Option<&'p ScalarExpr>,
     hi: Option<&'p ScalarExpr>,
     pred: &'p ScalarExpr,
-    env: Env,
-    /// Candidate positions (ascending), computed at first `next_batch`.
-    positions: Option<Vec<usize>>,
-    cursor: usize,
-    stats: OpStats,
-}
-
-impl IndexScanOp<'_> {
-    fn probe(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        let idx = ctx.catalog.index_on(self.table, self.attr).ok_or_else(|| {
-            tmql_model::ModelError::SchemaError(format!(
-                "plan expects an index on {}.{} but none exists",
-                self.table, self.attr
-            ))
-        })?;
-        let positions = match self.eq {
-            Some(eq) => {
-                let key = eval(eq, &mut self.env)?;
-                idx.probe_eq(&key)
-            }
-            None => {
-                let lo = self.lo.map(|e| eval(e, &mut self.env)).transpose()?;
-                let hi = self.hi.map(|e| eval(e, &mut self.env)).transpose()?;
-                idx.probe_range(lo.as_ref(), hi.as_ref())
-            }
-        };
-        ctx.metrics.index_probes += 1;
-        ctx.metrics.index_hits += positions.len() as u64;
-        self.positions = Some(positions);
-        self.cursor = 0;
-        Ok(())
-    }
+    cands: Candidates,
 }
 
 impl Operator for IndexScanOp<'_> {
-    fn label(&self) -> String {
-        format!("IndexScan({}.{})", self.table, self.attr)
-    }
-
     fn open(&mut self, _ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.positions = None;
-        self.cursor = 0;
+        self.cands.reset();
         Ok(())
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        if self.positions.is_none() {
-            self.probe(ctx)?;
-        }
-        let n = ctx.batch_size();
-        let t = ctx.catalog.table(self.table)?;
-        loop {
-            let positions = self.positions.as_ref().expect("probed above");
-            if self.cursor >= positions.len() {
-                return Ok(None);
-            }
-            let end = (self.cursor + n).min(positions.len());
-            let chunk = &positions[self.cursor..end];
-            self.cursor = end;
-            let candidates = t.fetch_rows(chunk)?;
-            let mut rows = Vec::with_capacity(candidates.len());
-            for row in candidates {
-                let r = Record::new([(self.var.to_string(), Value::Tuple(row))])?;
-                ctx.metrics.comparisons += 1;
-                if op::with_row(&mut self.env, &r, |e| eval_predicate(self.pred, e))? {
-                    rows.push(r);
-                }
-            }
-            if !rows.is_empty() {
-                return Ok(Some(Batch::new(rows)));
-            }
-        }
+        let (table, attr, eq, lo, hi) = (self.table, self.attr, self.eq, self.lo, self.hi);
+        self.cands
+            .next_batch(ctx, (table, self.var, self.pred), |ctx| {
+                let idx = index_on(ctx, table, attr)?;
+                let env = &mut ctx.env;
+                Ok(match eq {
+                    Some(eq) => idx.probe_eq(&eval(eq, env)?),
+                    None => {
+                        let lo = lo.map(|e| eval(e, env)).transpose()?;
+                        let hi = hi.map(|e| eval(e, env)).transpose()?;
+                        idx.probe_range(lo.as_ref(), hi.as_ref())
+                    }
+                })
+            })
     }
 
     fn close(&mut self, _ctx: &mut ExecContext<'_>) {
-        self.positions = None;
-        self.cursor = 0;
-    }
-
-    fn rebind(&mut self, env: &Env) {
-        self.env = env.clone();
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![]
+        self.cands.reset();
     }
 }
 
@@ -849,11 +893,9 @@ impl Operator for IndexScanOp<'_> {
 struct ScanExprOp<'p> {
     expr: &'p ScalarExpr,
     var: &'p str,
-    env: Env,
     items: Option<VecDeque<Value>>,
     overflow: Option<SpillFile>,
     overflow_reader: Option<RunReader>,
-    stats: OpStats,
 }
 
 impl ScanExprOp<'_> {
@@ -867,10 +909,6 @@ impl ScanExprOp<'_> {
 }
 
 impl Operator for ScanExprOp<'_> {
-    fn label(&self) -> String {
-        "ScanExpr".into()
-    }
-
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         self.release(ctx);
         Ok(())
@@ -878,7 +916,7 @@ impl Operator for ScanExprOp<'_> {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         if self.items.is_none() && self.overflow.is_none() {
-            let set = eval(self.expr, &mut self.env)?;
+            let set = eval(self.expr, &mut ctx.env)?;
             let mut items: VecDeque<Value> = set.as_set()?.iter().cloned().collect();
             if ctx.over_budget(items.len()) {
                 // Keep a budget's worth resident; the tail goes to disk
@@ -890,10 +928,8 @@ impl Operator for ScanExprOp<'_> {
                 for item in items.drain(keep..) {
                     w.write(&Record::new([(self.var.to_string(), item)])?)?;
                 }
-                let spilled = w.rows();
-                ctx.metrics.rows_spilled += spilled;
+                ctx.metrics.rows_spilled += w.rows();
                 ctx.metrics.spill_partitions += 1;
-                self.stats.rows_spilled += spilled;
                 self.overflow = Some(w.finish()?);
             }
             ctx.resident_acquire(items.len());
@@ -931,22 +967,6 @@ impl Operator for ScanExprOp<'_> {
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
         self.release(ctx);
     }
-
-    fn rebind(&mut self, env: &Env) {
-        self.env = env.clone();
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![]
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -956,19 +976,13 @@ impl Operator for ScanExprOp<'_> {
 /// Streaming σ: one predicate evaluation (= one `comparisons` tick) per
 /// input row.
 struct FilterOp<'p> {
-    child: BoxedOperator<'p>,
+    child: Node<'p>,
     pred: &'p ScalarExpr,
-    env: Env,
-    stats: OpStats,
 }
 
 impl Operator for FilterOp<'_> {
-    fn label(&self) -> String {
-        "Filter".into()
-    }
-
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.child.open_timed(ctx)
+        self.child.open(ctx)
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
@@ -979,7 +993,7 @@ impl Operator for FilterOp<'_> {
             let mut out = Vec::new();
             for row in b.rows {
                 ctx.metrics.comparisons += 1;
-                let keep = op::with_row(&mut self.env, &row, |e| eval_predicate(self.pred, e))?;
+                let keep = op::with_row(&mut ctx.env, &row, |e| eval_predicate(self.pred, e))?;
                 if keep {
                     out.push(row);
                 }
@@ -991,118 +1005,105 @@ impl Operator for FilterOp<'_> {
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        self.child.close_timed(ctx);
+        self.child.close(ctx);
     }
 
-    fn rebind(&mut self, env: &Env) {
-        self.env = env.clone();
-        self.child.rebind(env);
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.child.as_ref()]
+    fn children(&self) -> Vec<&Node<'_>> {
+        vec![&self.child]
     }
 }
 
-/// Streaming generalized projection to a single binding. Dedup state (the
-/// set of distinct records seen) is the only resident memory; under a
-/// memory budget it spills via [`SpillDedup`], deferring emission of the
-/// overflow to a partitioned drain after the input is exhausted.
-struct MapOp<'p> {
-    child: BoxedOperator<'p>,
-    expr: &'p ScalarExpr,
-    var: &'p str,
-    env: Env,
+/// The per-row transform of a [`DistinctOp`].
+enum RowFn<'p> {
+    /// Generalized projection to a single binding: evaluate `expr` and
+    /// bind it to `var`.
+    Map { expr: &'p ScalarExpr, var: &'p str },
+    /// π onto a variable subset.
+    Project(Vec<&'p str>),
+}
+
+/// Streaming Map / Project: transform each row, then emit it unless an
+/// equal row was emitted before. The set of distinct records seen is the
+/// only resident memory; under a memory budget it spills via
+/// [`SpillDedup`], deferring emission of the overflow to a partitioned
+/// drain after the input is exhausted.
+struct DistinctOp<'p> {
+    child: Node<'p>,
+    row_fn: RowFn<'p>,
     dedup: SpillDedup,
     sealed: bool,
-    stats: OpStats,
 }
 
-impl Operator for MapOp<'_> {
-    fn label(&self) -> String {
-        "Map".into()
+impl<'p> DistinctOp<'p> {
+    fn node(plan: &'p PhysPlan, child: Node<'p>, row_fn: RowFn<'p>) -> Node<'p> {
+        Node::new(
+            plan,
+            DistinctOp {
+                child,
+                row_fn,
+                dedup: SpillDedup::new(),
+                sealed: false,
+            },
+        )
     }
+}
 
+impl Operator for DistinctOp<'_> {
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         self.dedup.reset(ctx);
         self.sealed = false;
-        self.child.open_timed(ctx)
+        self.child.open(ctx)
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         loop {
             if self.sealed {
-                return self.dedup.next_deferred(ctx, &mut self.stats);
+                return self.dedup.next_deferred(ctx);
             }
-            match self.child.pull(ctx)? {
-                None => {
-                    self.dedup.seal(ctx)?;
-                    self.sealed = true;
-                }
-                Some(b) => {
-                    let mut out = Vec::new();
-                    for row in b.rows {
-                        let v = op::with_row(&mut self.env, &row, |e| eval(self.expr, e))?;
-                        let rec = Record::new([(self.var.to_string(), v)])?;
-                        if let Some(rec) = self.dedup.offer(rec, ctx, &mut self.stats)? {
-                            out.push(rec);
-                        }
+            let Some(b) = self.child.pull(ctx)? else {
+                self.dedup.seal(ctx)?;
+                self.sealed = true;
+                continue;
+            };
+            let mut out = Vec::new();
+            for row in b.rows {
+                let rec = match &self.row_fn {
+                    RowFn::Map { expr, var } => {
+                        let v = op::with_row(&mut ctx.env, &row, |e| eval(expr, e))?;
+                        Record::new([(var.to_string(), v)])?
                     }
-                    if !out.is_empty() {
-                        return Ok(Some(Batch::new(out)));
-                    }
+                    RowFn::Project(vars) => row.project(vars)?,
+                };
+                if let Some(rec) = self.dedup.offer(rec, ctx)? {
+                    out.push(rec);
                 }
+            }
+            if !out.is_empty() {
+                return Ok(Some(Batch::new(out)));
             }
         }
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
         self.dedup.reset(ctx);
-        self.child.close_timed(ctx);
+        self.child.close(ctx);
     }
 
-    fn rebind(&mut self, env: &Env) {
-        self.env = env.clone();
-        self.child.rebind(env);
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.child.as_ref()]
+    fn children(&self) -> Vec<&Node<'_>> {
+        vec![&self.child]
     }
 }
 
 /// Streaming binding extension (no dedup: input rows stay distinct).
 struct ExtendOp<'p> {
-    child: BoxedOperator<'p>,
+    child: Node<'p>,
     expr: &'p ScalarExpr,
     var: &'p str,
-    env: Env,
-    stats: OpStats,
 }
 
 impl Operator for ExtendOp<'_> {
-    fn label(&self) -> String {
-        "Extend".into()
-    }
-
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.child.open_timed(ctx)
+        self.child.open(ctx)
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
@@ -1111,175 +1112,56 @@ impl Operator for ExtendOp<'_> {
         };
         let mut out = Vec::with_capacity(b.len());
         for row in b.rows {
-            let v = op::with_row(&mut self.env, &row, |e| eval(self.expr, e))?;
+            let v = op::with_row(&mut ctx.env, &row, |e| eval(self.expr, e))?;
             out.push(row.extend_field(self.var, v)?);
         }
         Ok(Some(Batch::new(out)))
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        self.child.close_timed(ctx);
+        self.child.close(ctx);
     }
 
-    fn rebind(&mut self, env: &Env) {
-        self.env = env.clone();
-        self.child.rebind(env);
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.child.as_ref()]
+    fn children(&self) -> Vec<&Node<'_>> {
+        vec![&self.child]
     }
 }
 
-/// Streaming π onto a variable subset, with streaming dedup (spilling via
-/// [`SpillDedup`] under a memory budget, like [`MapOp`]).
-struct ProjectOp<'p> {
-    child: BoxedOperator<'p>,
-    vars: Vec<&'p str>,
-    dedup: SpillDedup,
-    sealed: bool,
-    stats: OpStats,
-}
-
-impl Operator for ProjectOp<'_> {
-    fn label(&self) -> String {
-        "Project".into()
-    }
-
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.dedup.reset(ctx);
-        self.sealed = false;
-        self.child.open_timed(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        loop {
-            if self.sealed {
-                return self.dedup.next_deferred(ctx, &mut self.stats);
-            }
-            match self.child.pull(ctx)? {
-                None => {
-                    self.dedup.seal(ctx)?;
-                    self.sealed = true;
-                }
-                Some(b) => {
-                    let mut out = Vec::new();
-                    for row in b.rows {
-                        let rec = row.project(&self.vars)?;
-                        if let Some(rec) = self.dedup.offer(rec, ctx, &mut self.stats)? {
-                            out.push(rec);
-                        }
-                    }
-                    if !out.is_empty() {
-                        return Ok(Some(Batch::new(out)));
-                    }
-                }
-            }
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        self.dedup.reset(ctx);
-        self.child.close_timed(ctx);
-    }
-
-    fn rebind(&mut self, env: &Env) {
-        self.child.rebind(env);
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.child.as_ref()]
-    }
-}
-
-/// Streaming μ: each input batch expands independently; a carry buffer
-/// caps the emitted batch size despite per-row fan-out.
+/// Streaming μ: each input batch expands independently; a [`Carry`] caps
+/// the emitted batch size despite per-row fan-out.
 struct UnnestOp<'p> {
-    child: BoxedOperator<'p>,
+    child: Node<'p>,
     expr: &'p ScalarExpr,
     elem_var: &'p str,
     drop_vars: &'p [String],
-    env: Env,
-    carry: VecDeque<Record>,
-    done: bool,
-    stats: OpStats,
+    out: Carry,
 }
 
 impl Operator for UnnestOp<'_> {
-    fn label(&self) -> String {
-        "Unnest".into()
-    }
-
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        ctx.resident_release(self.carry.len());
-        self.carry.clear();
-        self.done = false;
-        self.child.open_timed(ctx)
+        self.out.reset(ctx);
+        self.child.open(ctx)
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        let n = ctx.batch_size();
-        loop {
-            if self.carry.len() >= n || (self.done && !self.carry.is_empty()) {
-                return Ok(pop_carry(&mut self.carry, n, ctx));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            match self.child.pull(ctx)? {
-                None => self.done = true,
-                Some(b) => {
-                    let expanded = group::unnest(
-                        &b.rows,
-                        self.expr,
-                        self.elem_var,
-                        self.drop_vars,
-                        &mut self.env,
-                    )?;
-                    ctx.resident_acquire(expanded.len());
-                    self.carry.extend(expanded);
-                }
-            }
-        }
+        self.out.next_batch(&mut self.child, ctx, |rows, ctx| {
+            group::unnest(
+                &rows,
+                self.expr,
+                self.elem_var,
+                self.drop_vars,
+                &mut ctx.env,
+            )
+        })
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        ctx.resident_release(self.carry.len());
-        self.carry.clear();
-        self.child.close_timed(ctx);
+        self.out.reset(ctx);
+        self.child.close(ctx);
     }
 
-    fn rebind(&mut self, env: &Env) {
-        self.env = env.clone();
-        self.child.rebind(env);
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.child.as_ref()]
+    fn children(&self) -> Vec<&Node<'_>> {
+        vec![&self.child]
     }
 }
 
@@ -1302,15 +1184,12 @@ enum NlInner {
 /// [`nl::finish_block`] carry per-row match state across chunks, so
 /// semi/anti/outer/nest semantics survive the chunking).
 struct NlJoinOp<'p> {
-    left: BoxedOperator<'p>,
-    right: BoxedOperator<'p>,
+    left: Node<'p>,
+    right: Node<'p>,
     pred: &'p ScalarExpr,
     kind: &'p JoinKind,
-    env: Env,
     inner: Option<NlInner>,
-    carry: VecDeque<Record>,
-    done: bool,
-    stats: OpStats,
+    out: Carry,
 }
 
 impl NlJoinOp<'_> {
@@ -1351,10 +1230,8 @@ impl NlJoinOp<'_> {
         self.inner = Some(match writer {
             None => NlInner::Mem(rows),
             Some(w) => {
-                let spilled = w.rows();
-                ctx.metrics.rows_spilled += spilled;
+                ctx.metrics.rows_spilled += w.rows();
                 ctx.metrics.spill_partitions += 1;
-                self.stats.rows_spilled += spilled;
                 NlInner::Spilled(w.finish()?)
             }
         });
@@ -1363,103 +1240,64 @@ impl NlJoinOp<'_> {
 }
 
 impl Operator for NlJoinOp<'_> {
-    fn label(&self) -> String {
-        format!("NlJoin[{}]", self.kind.name())
-    }
-
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         self.release_inner(ctx);
-        ctx.resident_release(self.carry.len());
-        self.carry.clear();
-        self.done = false;
-        self.left.open_timed(ctx)?;
-        self.right.open_timed(ctx)
+        self.out.reset(ctx);
+        self.left.open(ctx)?;
+        self.right.open(ctx)
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         if self.inner.is_none() {
             self.materialize_inner(ctx)?;
         }
-        let n = ctx.batch_size();
-        loop {
-            if self.carry.len() >= n || (self.done && !self.carry.is_empty()) {
-                return Ok(pop_carry(&mut self.carry, n, ctx));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            match self.left.pull(ctx)? {
-                None => self.done = true,
-                Some(b) => {
-                    let out = match self.inner.as_ref().expect("materialized above") {
-                        NlInner::Mem(right) => nl::join(
-                            &b.rows,
-                            right,
-                            self.pred,
-                            self.kind,
-                            &mut self.env,
-                            &mut ctx.metrics,
-                        )?,
-                        NlInner::Spilled(file) => {
-                            // Block nested loop: replay the run in
-                            // batch-sized chunks against this outer block.
-                            let mut state = nl::BlockState::new(b.rows.len(), self.kind);
-                            let mut out = Vec::new();
-                            let mut reader = file.reader()?;
-                            loop {
-                                let chunk = reader.read_batch(n)?;
-                                if chunk.is_empty() {
-                                    break;
-                                }
-                                ctx.resident_acquire(chunk.len());
-                                let res = nl::join_chunk(
-                                    &b.rows,
-                                    &chunk,
-                                    self.pred,
-                                    self.kind,
-                                    &mut self.env,
-                                    &mut ctx.metrics,
-                                    &mut state,
-                                    &mut out,
-                                );
-                                ctx.resident_release(chunk.len());
-                                res?;
-                            }
-                            nl::finish_block(&b.rows, self.kind, &mut state, &mut out)?;
-                            out
-                        }
-                    };
-                    ctx.resident_acquire(out.len());
-                    self.carry.extend(out);
+        let inner = self.inner.as_ref().expect("materialized above");
+        let (pred, kind) = (self.pred, self.kind);
+        self.out.next_batch(&mut self.left, ctx, |left, ctx| {
+            let file = match inner {
+                NlInner::Mem(right) => {
+                    return nl::join(&left, right, pred, kind, &mut ctx.env, &mut ctx.metrics)
                 }
+                NlInner::Spilled(file) => file,
+            };
+            // Block nested loop: replay the run in batch-sized chunks
+            // against this outer block.
+            let mut state = nl::BlockState::new(left.len(), kind);
+            let mut out = Vec::new();
+            let mut reader = file.reader()?;
+            loop {
+                let chunk = reader.read_batch(ctx.batch_size())?;
+                if chunk.is_empty() {
+                    break;
+                }
+                ctx.resident_acquire(chunk.len());
+                let res = nl::join_chunk(
+                    &left,
+                    &chunk,
+                    pred,
+                    kind,
+                    &mut ctx.env,
+                    &mut ctx.metrics,
+                    &mut state,
+                    &mut out,
+                );
+                ctx.resident_release(chunk.len());
+                res?;
             }
-        }
+            nl::finish_block(&left, kind, &mut state, &mut out)?;
+            Ok(out)
+        })
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
         self.release_inner(ctx);
-        ctx.resident_release(self.carry.len());
-        self.carry.clear();
-        self.left.close_timed(ctx);
-        self.right.close_timed(ctx);
+        self.out.reset(ctx);
+        self.left.close(ctx);
+        self.right.close(ctx);
     }
 
-    fn rebind(&mut self, env: &Env) {
-        self.env = env.clone();
-        self.left.rebind(env);
-        self.right.rebind(env);
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.left.as_ref(), self.right.as_ref()]
+    fn children(&self) -> Vec<&Node<'_>> {
+        vec![&self.left, &self.right]
     }
 }
 
@@ -1473,131 +1311,69 @@ impl Operator for NlJoinOp<'_> {
 /// predicate per pair, so results match `NlJoin` exactly for every
 /// [`JoinKind`] — semi/anti membership rewrites become per-row probes.
 struct IndexNLJoinOp<'p> {
-    left: BoxedOperator<'p>,
+    left: Node<'p>,
     right_table: &'p str,
     right_var: &'p str,
     attr: &'p str,
     key: &'p ScalarExpr,
     pred: &'p ScalarExpr,
     kind: &'p JoinKind,
-    env: Env,
-    carry: VecDeque<Record>,
-    done: bool,
-    stats: OpStats,
-}
-
-impl IndexNLJoinOp<'_> {
-    /// Probe + match one outer row, appending its output to `out`.
-    fn probe_row(
-        &mut self,
-        l: &Record,
-        ctx: &mut ExecContext<'_>,
-        out: &mut Vec<Record>,
-    ) -> Result<()> {
-        let idx = ctx
-            .catalog
-            .index_on(self.right_table, self.attr)
-            .ok_or_else(|| {
-                tmql_model::ModelError::SchemaError(format!(
-                    "plan expects an index on {}.{} but none exists",
-                    self.right_table, self.attr
-                ))
-            })?;
-        let key = op::with_row(&mut self.env, l, |e| eval(self.key, e))?;
-        let positions = idx.probe_eq(&key);
-        ctx.metrics.index_probes += 1;
-        ctx.metrics.index_hits += positions.len() as u64;
-        let t = ctx.catalog.table(self.right_table)?;
-        let mut state = nl::BlockState::new(1, self.kind);
-        let outer = std::slice::from_ref(l);
-        // Candidates stream in position-ascending chunks so one wide probe
-        // (a hot key) never materializes more than a batch at a time.
-        let n = ctx.batch_size();
-        for chunk in positions.chunks(n.max(1)) {
-            let fetched = t.fetch_rows(chunk)?;
-            let mut inner = Vec::with_capacity(fetched.len());
-            for row in fetched {
-                inner.push(Record::new([(
-                    self.right_var.to_string(),
-                    Value::Tuple(row),
-                )])?);
-            }
-            nl::join_chunk(
-                outer,
-                &inner,
-                self.pred,
-                self.kind,
-                &mut self.env,
-                &mut ctx.metrics,
-                &mut state,
-                out,
-            )?;
-        }
-        nl::finish_block(outer, self.kind, &mut state, out)
-    }
+    out: Carry,
 }
 
 impl Operator for IndexNLJoinOp<'_> {
-    fn label(&self) -> String {
-        format!(
-            "IndexNLJoin[{}]({}.{})",
-            self.kind.name(),
-            self.right_table,
-            self.attr
-        )
-    }
-
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        ctx.resident_release(self.carry.len());
-        self.carry.clear();
-        self.done = false;
-        self.left.open_timed(ctx)
+        self.out.reset(ctx);
+        self.left.open(ctx)
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        let n = ctx.batch_size();
-        loop {
-            if self.carry.len() >= n || (self.done && !self.carry.is_empty()) {
-                return Ok(pop_carry(&mut self.carry, n, ctx));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            match self.left.pull(ctx)? {
-                None => self.done = true,
-                Some(b) => {
-                    let mut out = Vec::new();
-                    for l in &b.rows {
-                        self.probe_row(l, ctx, &mut out)?;
-                    }
-                    ctx.resident_acquire(out.len());
-                    self.carry.extend(out);
+        let (table, var, pred, kind) = (self.right_table, self.right_var, self.pred, self.kind);
+        let (attr, key) = (self.attr, self.key);
+        self.out.next_batch(&mut self.left, ctx, |left, ctx| {
+            let idx = index_on(ctx, table, attr)?;
+            let t = ctx.catalog.table(table)?;
+            let mut out = Vec::new();
+            for l in &left {
+                let k = op::with_row(&mut ctx.env, l, |e| eval(key, e))?;
+                let positions = idx.probe_eq(&k);
+                ctx.metrics.index_probes += 1;
+                ctx.metrics.index_hits += positions.len() as u64;
+                let mut state = nl::BlockState::new(1, kind);
+                let outer = std::slice::from_ref(l);
+                // Candidates stream in position-ascending chunks so one
+                // wide probe (a hot key) never materializes more than a
+                // batch at a time.
+                for chunk in positions.chunks(ctx.batch_size()) {
+                    let inner = t
+                        .fetch_rows(chunk)?
+                        .into_iter()
+                        .map(|row| Record::new([(var.to_string(), Value::Tuple(row))]))
+                        .collect::<Result<Vec<_>>>()?;
+                    nl::join_chunk(
+                        outer,
+                        &inner,
+                        pred,
+                        kind,
+                        &mut ctx.env,
+                        &mut ctx.metrics,
+                        &mut state,
+                        &mut out,
+                    )?;
                 }
+                nl::finish_block(outer, kind, &mut state, &mut out)?;
             }
-        }
+            Ok(out)
+        })
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        ctx.resident_release(self.carry.len());
-        self.carry.clear();
-        self.left.close_timed(ctx);
+        self.out.reset(ctx);
+        self.left.close(ctx);
     }
 
-    fn rebind(&mut self, env: &Env) {
-        self.env = env.clone();
-        self.left.rebind(env);
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.left.as_ref()]
+    fn children(&self) -> Vec<&Node<'_>> {
+        vec![&self.left]
     }
 }
 
@@ -1608,131 +1384,17 @@ impl Operator for IndexNLJoinOp<'_> {
 /// in-memory build over the partition's build rows, probed by its probe
 /// run).
 struct HashJoinOp<'p> {
-    left: BoxedOperator<'p>,
-    right: BoxedOperator<'p>,
+    left: Node<'p>,
+    right: Node<'p>,
     left_keys: &'p [ScalarExpr],
     right_keys: &'p [ScalarExpr],
     residual: Option<&'p ScalarExpr>,
     kind: &'p JoinKind,
-    env: Env,
     /// Sides: build (0), probe (1).
     grace: Grace<'p>,
     table: Option<hash::HashTable>,
     built: bool,
-    carry: VecDeque<Record>,
-    done: bool,
-    stats: OpStats,
-}
-
-impl Operator for HashJoinOp<'_> {
-    fn label(&self) -> String {
-        format!("HashJoin[{}]", self.kind.name())
-    }
-
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.close_state(ctx);
-        self.built = false;
-        self.done = false;
-        self.left.open_timed(ctx)?;
-        self.right.open_timed(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        if !self.built {
-            self.built = true;
-            let build_side = self.grace.side(0);
-            match spill::drain_or_spill(
-                &mut self.right,
-                ctx,
-                &mut self.env,
-                build_side,
-                &mut self.stats,
-            )? {
-                Drained::Mem(r) => {
-                    let n_in = r.len();
-                    let table = hash::build(r, self.right_keys, &mut self.env, &mut ctx.metrics)?;
-                    // `build` *moves* the drained rows (already counted by
-                    // the drain) into the table; only the NULL-key rows it
-                    // drops leave resident state.
-                    ctx.resident_release(n_in - table.len());
-                    self.table = Some(table);
-                }
-                Drained::Spilled(build_runs) => {
-                    let probe_side = self.grace.side(1);
-                    let probe_runs = spill::spill_stream(
-                        &mut self.left,
-                        ctx,
-                        &mut self.env,
-                        probe_side,
-                        &mut self.stats,
-                    )?;
-                    self.grace.engage(vec![build_runs, probe_runs]);
-                }
-            }
-        }
-        let Some(table) = self.table.as_ref() else {
-            let (left_keys, right_keys) = (self.left_keys, self.right_keys);
-            let (residual, kind) = (self.residual, self.kind);
-            let kernel = |runs: &[SpillFile], env: &mut Env, m: &mut Metrics| {
-                let table = hash::build(runs[0].reader()?.read_all()?, right_keys, env, m)?;
-                let probe = runs[1].reader()?.read_all()?;
-                hash::probe(&probe, &table, left_keys, residual, kind, env, m)
-            };
-            return self
-                .grace
-                .next_batch(&kernel, ctx, &mut self.env, &mut self.stats);
-        };
-        // In-memory path: stream probe batches from the left child.
-        let n = ctx.batch_size();
-        loop {
-            if self.carry.len() >= n || (self.done && !self.carry.is_empty()) {
-                return Ok(pop_carry(&mut self.carry, n, ctx));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            match self.left.pull(ctx)? {
-                None => self.done = true,
-                Some(b) => {
-                    let out = hash::probe(
-                        &b.rows,
-                        table,
-                        self.left_keys,
-                        self.residual,
-                        self.kind,
-                        &mut self.env,
-                        &mut ctx.metrics,
-                    )?;
-                    ctx.resident_acquire(out.len());
-                    self.carry.extend(out);
-                }
-            }
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        self.close_state(ctx);
-        self.left.close_timed(ctx);
-        self.right.close_timed(ctx);
-    }
-
-    fn rebind(&mut self, env: &Env) {
-        self.env = env.clone();
-        self.left.rebind(env);
-        self.right.rebind(env);
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.left.as_ref(), self.right.as_ref()]
-    }
+    out: Carry,
 }
 
 impl HashJoinOp<'_> {
@@ -1741,9 +1403,77 @@ impl HashJoinOp<'_> {
         if let Some(t) = self.table.take() {
             ctx.resident_release(t.len());
         }
-        ctx.resident_release(self.carry.len());
-        self.carry.clear();
+        self.out.reset(ctx);
         self.grace.reset(ctx);
+    }
+
+    /// Drain the build side into an in-memory table, or — past the budget
+    /// — partition both sides and engage the grace driver.
+    fn build_side(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+        match spill::drain_or_spill(&mut self.right, ctx, self.grace.side(0))? {
+            Drained::Mem(r) => {
+                let n_in = r.len();
+                let table = hash::build(r, self.right_keys, &mut ctx.env, &mut ctx.metrics)?;
+                // `build` *moves* the drained rows (already counted by the
+                // drain) into the table; only the NULL-key rows it drops
+                // leave resident state.
+                ctx.resident_release(n_in - table.len());
+                self.table = Some(table);
+            }
+            Drained::Spilled(build_runs) => {
+                let probe_runs = spill::spill_stream(&mut self.left, ctx, self.grace.side(1))?;
+                self.grace.engage(vec![build_runs, probe_runs]);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Operator for HashJoinOp<'_> {
+    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+        self.close_state(ctx);
+        self.built = false;
+        self.left.open(ctx)?;
+        self.right.open(ctx)
+    }
+
+    fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
+        if !self.built {
+            self.built = true;
+            self.build_side(ctx)?;
+        }
+        let (left_keys, right_keys) = (self.left_keys, self.right_keys);
+        let (residual, kind) = (self.residual, self.kind);
+        let Some(table) = self.table.as_ref() else {
+            let kernel = |runs: &[SpillFile], env: &mut Env, m: &mut Metrics| {
+                let table = hash::build(runs[0].reader()?.read_all()?, right_keys, env, m)?;
+                let probe = runs[1].reader()?.read_all()?;
+                hash::probe(&probe, &table, left_keys, residual, kind, env, m)
+            };
+            return self.grace.next_batch(&kernel, ctx);
+        };
+        // In-memory path: stream probe batches from the left child.
+        self.out.next_batch(&mut self.left, ctx, |rows, ctx| {
+            hash::probe(
+                &rows,
+                table,
+                left_keys,
+                residual,
+                kind,
+                &mut ctx.env,
+                &mut ctx.metrics,
+            )
+        })
+    }
+
+    fn close(&mut self, ctx: &mut ExecContext<'_>) {
+        self.close_state(ctx);
+        self.left.close(ctx);
+        self.right.close(ctx);
+    }
+
+    fn children(&self) -> Vec<&Node<'_>> {
+        vec![&self.left, &self.right]
     }
 }
 
@@ -1771,43 +1501,39 @@ type Kernel<'p> =
 /// inputs still spill when their sum overflows; an input already buffered
 /// in memory is then partitioned post hoc so the pairing stays aligned.
 struct Breaker<'p> {
-    name: String,
-    inputs: Vec<BoxedOperator<'p>>,
-    env: Env,
+    inputs: Vec<Node<'p>>,
     kernel: Kernel<'p>,
     grace: Grace<'p>,
     drained: bool,
-    stats: OpStats,
 }
 
 impl<'p> Breaker<'p> {
     /// A breaker over `inputs`, each with its partition-key function.
-    fn boxed(
-        name: String,
-        inputs: Vec<(BoxedOperator<'p>, PartFn<'p>)>,
-        env: &Env,
+    fn node(
+        plan: &'p PhysPlan,
+        inputs: Vec<(Node<'p>, PartFn<'p>)>,
         kernel: Kernel<'p>,
-    ) -> BoxedOperator<'p> {
+    ) -> Node<'p> {
         let (inputs, sides): (Vec<_>, Vec<_>) = inputs
             .into_iter()
-            .map(|(op, part)| {
+            .map(|(input, part)| {
                 let side = Side {
                     part,
                     drop_nullkey: false,
                 };
-                (op, side)
+                (input, side)
             })
             .unzip();
         let all = 0..sides.len();
-        Box::new(Breaker {
-            name,
-            inputs,
-            env: env.clone(),
-            kernel,
-            grace: Grace::new(sides, all.clone(), all),
-            drained: false,
-            stats: OpStats::default(),
-        })
+        Node::new(
+            plan,
+            Breaker {
+                inputs,
+                kernel,
+                grace: Grace::new(sides, all.clone(), all),
+                drained: false,
+            },
+        )
     }
 
     /// Drain every input, then run the kernel in memory or hand the
@@ -1815,14 +1541,7 @@ impl<'p> Breaker<'p> {
     fn drain_inputs(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         let mut drained = Vec::with_capacity(self.inputs.len());
         for (i, input) in self.inputs.iter_mut().enumerate() {
-            let side = self.grace.side(i);
-            drained.push(spill::drain_or_spill(
-                input,
-                ctx,
-                &mut self.env,
-                side,
-                &mut self.stats,
-            )?);
+            drained.push(spill::drain_or_spill(input, ctx, self.grace.side(i))?);
         }
         let in_mem: usize = drained
             .iter()
@@ -1839,7 +1558,7 @@ impl<'p> Breaker<'p> {
                     Drained::Spilled(_) => unreachable!("all inputs are in memory"),
                 })
                 .collect();
-            let out = (self.kernel)(&inputs, &mut self.env, &mut ctx.metrics)?;
+            let out = (self.kernel)(&inputs, &mut ctx.env, &mut ctx.metrics)?;
             ctx.resident_acquire(out.len());
             ctx.resident_release(in_mem);
             self.grace.hold(out);
@@ -1851,8 +1570,7 @@ impl<'p> Breaker<'p> {
                 Drained::Spilled(files) => files,
                 Drained::Mem(rows) => {
                     let n = rows.len();
-                    let side = self.grace.side(i);
-                    let files = spill::spill_rows(rows, ctx, &mut self.env, side, &mut self.stats)?;
+                    let files = spill::spill_rows(rows, ctx, self.grace.side(i))?;
                     ctx.resident_release(n);
                     files
                 }
@@ -1864,15 +1582,11 @@ impl<'p> Breaker<'p> {
 }
 
 impl Operator for Breaker<'_> {
-    fn label(&self) -> String {
-        self.name.clone()
-    }
-
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         self.grace.reset(ctx);
         self.drained = false;
         for input in &mut self.inputs {
-            input.open_timed(ctx)?;
+            input.open(ctx)?;
         }
         Ok(())
     }
@@ -1890,34 +1604,18 @@ impl Operator for Breaker<'_> {
                 .collect::<Result<Vec<_>>>()?;
             kernel(&inputs, env, m)
         };
-        self.grace
-            .next_batch(&run_kernel, ctx, &mut self.env, &mut self.stats)
+        self.grace.next_batch(&run_kernel, ctx)
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
         self.grace.reset(ctx);
         for input in &mut self.inputs {
-            input.close_timed(ctx);
+            input.close(ctx);
         }
     }
 
-    fn rebind(&mut self, env: &Env) {
-        self.env = env.clone();
-        for input in &mut self.inputs {
-            input.rebind(env);
-        }
-    }
-
-    fn stats(&self) -> OpStats {
-        self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut OpStats {
-        &mut self.stats
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        self.inputs.iter().map(|input| input.as_ref()).collect()
+    fn children(&self) -> Vec<&Node<'_>> {
+        self.inputs.iter().collect()
     }
 }
 
@@ -1963,7 +1661,7 @@ mod tests {
         for threads in [1, 4] {
             let config = ExecConfig::default().batch_size(3).threads(threads);
             let mut ctx = ExecContext::with_config(&cat, &config);
-            let mut root = build(&plan, &Env::new());
+            let mut root = build(&plan);
             root.open(&mut ctx).unwrap();
             let mut sizes = Vec::new();
             while let Some(b) = root.pull(&mut ctx).unwrap() {
@@ -1982,12 +1680,10 @@ mod tests {
         let cat = catalog();
         let plan = scan_filter();
         let mut ctx = ExecContext::with_config(&cat, &ExecConfig::default().batch_size(4));
-        let mut root = build(&plan, &Env::new());
-        root.open(&mut ctx).unwrap();
-        let rows = drain(&mut root, &mut ctx).unwrap();
-        root.close(&mut ctx);
+        let mut root = build(&plan);
+        let rows = root.run(&mut ctx).unwrap();
         assert_eq!(rows.len(), 6);
-        let tree = render_tree(root.as_ref());
+        let tree = render_tree(&root);
         assert!(tree.contains("Filter [rows=6"), "{tree}");
         assert!(tree.contains("Scan(X) [rows=10"), "{tree}");
     }
@@ -2011,10 +1707,8 @@ mod tests {
             star: false,
         };
         let mut ctx = ExecContext::with_config(&cat, &ExecConfig::default().batch_size(2));
-        let mut root = build(&plan, &Env::new());
-        root.open(&mut ctx).unwrap();
-        let _ = drain(&mut root, &mut ctx).unwrap();
-        root.close(&mut ctx);
+        let mut root = build(&plan);
+        let _ = root.run(&mut ctx).unwrap();
         assert!(
             ctx.metrics.peak_resident_rows > 0,
             "breaker state was tracked"

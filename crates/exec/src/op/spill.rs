@@ -42,7 +42,7 @@ use tmql_storage::spill::{RunWriter, SpillFile};
 use crate::exec::ExecContext;
 use crate::metrics::Metrics;
 use crate::op::exchange;
-use crate::op::operator::{pop_carry, Batch, BoxedOperator, OpStats};
+use crate::op::operator::{pop_carry, Batch, Node};
 
 /// Number of partitions per spill pass. 8-way: a breaker at `k×` the
 /// budget lands partitions at `k/8 ×`, so one pass absorbs overshoots up
@@ -89,20 +89,17 @@ pub fn hash_record(rec: &Record, seed: u64) -> u64 {
 fn route(
     writers: &mut [RunWriter],
     side: &Side<'_>,
-    env: &mut Env,
     rec: &Record,
     seed: u64,
-    m: &mut Metrics,
-    ops: &mut OpStats,
+    ctx: &mut ExecContext<'_>,
 ) -> Result<()> {
-    let idx = match (side.part)(rec, env, seed)? {
+    let idx = match (side.part)(rec, &mut ctx.env, seed)? {
         Some(h) => (h % writers.len() as u64) as usize,
         None if side.drop_nullkey => return Ok(()),
         None => 0,
     };
     writers[idx].write(rec)?;
-    m.rows_spilled += 1;
-    ops.rows_spilled += 1;
+    ctx.metrics.rows_spilled += 1;
     Ok(())
 }
 
@@ -136,11 +133,9 @@ pub enum Drained {
 /// the moment it does not. Without a budget this is a plain materializing
 /// drain.
 pub fn drain_or_spill(
-    child: &mut BoxedOperator<'_>,
+    child: &mut Node<'_>,
     ctx: &mut ExecContext<'_>,
-    env: &mut Env,
     side: &Side<'_>,
-    ops: &mut OpStats,
 ) -> Result<Drained> {
     let mut buf: Vec<Record> = Vec::new();
     let mut writers: Option<Vec<RunWriter>> = None;
@@ -153,7 +148,7 @@ pub fn drain_or_spill(
                     let mut ws = ctx.spill_runs(SPILL_FANOUT)?;
                     let n = buf.len();
                     for r in buf.drain(..) {
-                        route(&mut ws, side, env, &r, 0, &mut ctx.metrics, ops)?;
+                        route(&mut ws, side, &r, 0, ctx)?;
                     }
                     ctx.resident_release(n);
                     writers = Some(ws);
@@ -161,7 +156,7 @@ pub fn drain_or_spill(
             }
             Some(ws) => {
                 for r in b.rows {
-                    route(ws, side, env, &r, 0, &mut ctx.metrics, ops)?;
+                    route(ws, side, &r, 0, ctx)?;
                 }
             }
         }
@@ -175,16 +170,14 @@ pub fn drain_or_spill(
 /// Drain `child` straight into partitions (seed 0), buffering nothing —
 /// the probe side of a grace hash join.
 pub fn spill_stream(
-    child: &mut BoxedOperator<'_>,
+    child: &mut Node<'_>,
     ctx: &mut ExecContext<'_>,
-    env: &mut Env,
     side: &Side<'_>,
-    ops: &mut OpStats,
 ) -> Result<Vec<SpillFile>> {
     let mut ws = ctx.spill_runs(SPILL_FANOUT)?;
     while let Some(b) = child.pull(ctx)? {
         for r in b.rows {
-            route(&mut ws, side, env, &r, 0, &mut ctx.metrics, ops)?;
+            route(&mut ws, side, &r, 0, ctx)?;
         }
     }
     finish_runs(ws, ctx)
@@ -195,13 +188,11 @@ pub fn spill_stream(
 pub fn spill_rows(
     rows: Vec<Record>,
     ctx: &mut ExecContext<'_>,
-    env: &mut Env,
     side: &Side<'_>,
-    ops: &mut OpStats,
 ) -> Result<Vec<SpillFile>> {
     let mut ws = ctx.spill_runs(SPILL_FANOUT)?;
     for r in &rows {
-        route(&mut ws, side, env, r, 0, &mut ctx.metrics, ops)?;
+        route(&mut ws, side, r, 0, ctx)?;
     }
     finish_runs(ws, ctx)
 }
@@ -211,10 +202,8 @@ pub fn spill_rows(
 fn repartition(
     file: SpillFile,
     ctx: &mut ExecContext<'_>,
-    env: &mut Env,
     side: &Side<'_>,
     seed: u64,
-    ops: &mut OpStats,
 ) -> Result<Vec<SpillFile>> {
     let mut ws = ctx.spill_runs(SPILL_FANOUT)?;
     let mut reader = file.reader()?;
@@ -224,7 +213,7 @@ fn repartition(
             break;
         }
         for r in &batch {
-            route(&mut ws, side, env, r, seed, &mut ctx.metrics, ops)?;
+            route(&mut ws, side, r, seed, ctx)?;
         }
     }
     finish_runs(ws, ctx)
@@ -310,13 +299,7 @@ impl<'p> Grace<'p> {
 
     /// Next batch of held or partition output, running waves of `kernel`
     /// as needed; `None` once every partition is done.
-    pub fn next_batch<K>(
-        &mut self,
-        kernel: &K,
-        ctx: &mut ExecContext<'_>,
-        env: &mut Env,
-        ops: &mut OpStats,
-    ) -> Result<Option<Batch>>
+    pub fn next_batch<K>(&mut self, kernel: &K, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>>
     where
         K: Fn(&[SpillFile], &mut Env, &mut Metrics) -> Result<Vec<Record>> + Sync,
     {
@@ -337,7 +320,7 @@ impl<'p> Grace<'p> {
                 if ctx.over_budget(size as usize) && depth < MAX_REPARTITION_DEPTH && size > 1 {
                     let mut split = Vec::with_capacity(runs.len());
                     for (run, side) in runs.into_iter().zip(&self.sides) {
-                        split.push(repartition(run, ctx, env, side, depth as u64, ops)?);
+                        split.push(repartition(run, ctx, side, depth as u64)?);
                     }
                     for sub in transpose(split).into_iter().rev() {
                         queue.push_front((sub, depth + 1));
@@ -359,7 +342,9 @@ impl<'p> Grace<'p> {
                 return Ok(None);
             }
             ctx.resident_acquire(wave_rows as usize);
-            let base_env: &Env = env;
+            // Each worker evaluates against its own copy of the
+            // correlation bindings.
+            let base_env = &ctx.env;
             let results = exchange::scatter(ctx.threads(), wave, |runs| {
                 let mut env = base_env.clone();
                 let mut m = Metrics::new();
@@ -455,17 +440,9 @@ impl SpillDedup {
     /// Offer a candidate row. Returns `Some(row)` when the row is new and
     /// can be emitted immediately (streaming mode); `None` when it is a
     /// duplicate or was deferred to a spill partition.
-    pub fn offer(
-        &mut self,
-        rec: Record,
-        ctx: &mut ExecContext<'_>,
-        ops: &mut OpStats,
-    ) -> Result<Option<Record>> {
+    pub fn offer(&mut self, rec: Record, ctx: &mut ExecContext<'_>) -> Result<Option<Record>> {
         if let Some(w) = self.writers.as_mut() {
-            let idx = (hash_record(&rec, 0) % w.cand_parts.len() as u64) as usize;
-            w.cand_parts[idx].write(&rec)?;
-            ctx.metrics.rows_spilled += 1;
-            ops.rows_spilled += 1;
+            route(&mut w.cand_parts, self.grace.side(1), &rec, 0, ctx)?;
             return Ok(None);
         }
         if self.seen.contains(&rec) {
@@ -482,16 +459,10 @@ impl SpillDedup {
             };
             let n = self.seen.len();
             for r in std::mem::take(&mut self.seen) {
-                let idx = (hash_record(&r, 0) % w.seen_parts.len() as u64) as usize;
-                w.seen_parts[idx].write(&r)?;
-                ctx.metrics.rows_spilled += 1;
-                ops.rows_spilled += 1;
+                route(&mut w.seen_parts, self.grace.side(0), &r, 0, ctx)?;
             }
             ctx.resident_release(n);
-            let idx = (hash_record(&rec, 0) % w.cand_parts.len() as u64) as usize;
-            w.cand_parts[idx].write(&rec)?;
-            ctx.metrics.rows_spilled += 1;
-            ops.rows_spilled += 1;
+            route(&mut w.cand_parts, self.grace.side(1), &rec, 0, ctx)?;
             self.writers = Some(w);
             return Ok(None);
         }
@@ -514,13 +485,8 @@ impl SpillDedup {
     /// Next batch of deferred distinct rows from the drain phase; `None`
     /// when the drain is complete (immediately in streaming mode, where
     /// nothing was deferred).
-    pub fn next_deferred(
-        &mut self,
-        ctx: &mut ExecContext<'_>,
-        ops: &mut OpStats,
-    ) -> Result<Option<Batch>> {
-        self.grace
-            .next_batch(&dedup_kernel, ctx, &mut Env::new(), ops)
+    pub fn next_deferred(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
+        self.grace.next_batch(&dedup_kernel, ctx)
     }
 
     /// Release all resident accounting and drop every spill artifact

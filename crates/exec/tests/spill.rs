@@ -4,8 +4,8 @@
 //! defeats partitioning degrades gracefully instead of failing.
 
 use proptest::prelude::*;
-use tmql_algebra::{AggFn, CmpOp, Plan, ScalarExpr as E, SetOpKind};
-use tmql_exec::{run, ExecConfig, JoinAlgo};
+use tmql_algebra::{AggFn, CmpOp, Env, Plan, ScalarExpr as E, SetOpKind};
+use tmql_exec::{execute_collect, lower, run, ExecConfig, ExecContext, JoinAlgo, Metrics};
 use tmql_model::Record;
 use tmql_storage::{table::int_table, Catalog};
 
@@ -129,6 +129,21 @@ fn multiset(rows: Vec<Record>) -> Vec<Record> {
 /// Grace waves of width one (`threads = 1`) and wider.
 const WAVE_WIDTHS: [usize; 2] = [1, 4];
 
+/// Execute `plan` through [`execute_collect`], checking that the
+/// per-operator spill counts of the profile add up to the run's
+/// [`Metrics::rows_spilled`](tmql_exec::Metrics::rows_spilled).
+fn run_profiled(plan: &Plan, cat: &Catalog, config: &ExecConfig) -> (Vec<Record>, Metrics) {
+    let phys = lower(plan, cat, config).unwrap();
+    let mut ctx = ExecContext::with_config(cat, config);
+    let (rows, ops) = execute_collect(&phys, &mut ctx, &Env::new(), None).unwrap();
+    let per_op: u64 = ops.iter().map(|o| o.rows_spilled).sum();
+    assert_eq!(
+        per_op, ctx.metrics.rows_spilled,
+        "per-operator spills must account for every spilled row: {ops:?}"
+    );
+    (rows, ctx.metrics)
+}
+
 #[test]
 fn budgeted_runs_match_unbounded_for_every_breaker() {
     let cat = sized_catalog(512, 16);
@@ -138,9 +153,9 @@ fn budgeted_runs_match_unbounded_for_every_breaker() {
                 let free = ExecConfig::with_join_algo(algo)
                     .batch_size(64)
                     .threads(threads);
-                let (rows_free, m_free) = run(&plan, &cat, &free).unwrap();
+                let (rows_free, m_free) = run_profiled(&plan, &cat, &free);
                 let tight = free.memory_budget(48);
-                let (rows_tight, m_tight) = run(&plan, &cat, &tight).unwrap();
+                let (rows_tight, m_tight) = run_profiled(&plan, &cat, &tight);
                 assert_eq!(
                     multiset(rows_free),
                     multiset(rows_tight),

@@ -48,8 +48,9 @@ meta commands:
   \\show              list the current session options
   \\explain <query>   show translated / optimized / physical plans (est_rows per operator)
   \\profile <query>   run the query; explain + executed operator tree
-                     with estimated vs actual rows per operator (and
-                     spilled rows when a memory_budget forces spilling)
+                     with estimated vs actual rows and time per operator
+                     (and spilled rows when a memory_budget forces
+                     spilling); same as ANALYZE <query>
   \\strategies <q>    run <q> under every strategy, compare row counts
   \\metrics           engine-wide metrics (Prometheus text): pool, WAL,
                      executor work counters, query latency histogram
@@ -61,8 +62,9 @@ transaction statements (grouping registrations and \\index changes into
 one atomic unit — durable as a single WAL commit on disk-backed
 databases; each statement auto-commits otherwise):
   BEGIN | COMMIT | ROLLBACK
-ANALYZE <query> runs the query and prints the executed operator tree
-with est vs actual rows, per-operator wall time, and work counters;
+ANALYZE <query> runs the query and prints its plans and the executed
+operator tree with est vs actual rows, per-operator wall time, and work
+counters;
 anything else is executed as a TM query, e.g.
   SELECT x FROM X x WHERE x.a SUBSETEQ (SELECT y.a FROM Y y WHERE x.b = y.b)";
 
@@ -175,10 +177,7 @@ impl Shell {
                 Ok(s) => println!("{s}"),
                 Err(e) => println!("error: {e}"),
             },
-            "profile" => match self.db.profile_with(rest, self.opts) {
-                Ok(s) => println!("{s}"),
-                Err(e) => println!("error: {e}"),
-            },
+            "profile" => self.analyze(rest),
             "strategies" => self.compare_strategies(rest),
             "metrics" => print!("{}", self.db.metrics_text()),
             "stats" => self.stats(),
@@ -431,8 +430,9 @@ impl Shell {
         }
     }
 
-    /// `ANALYZE <query>`: run it and print the executed operator tree
-    /// with est vs actual rows, per-operator wall time, and counters.
+    /// `ANALYZE <query>` and `\profile <query>`: run it and print the
+    /// explain sections and the executed operator tree with est vs actual
+    /// rows, per-operator wall time, and counters.
     fn analyze(&self, src: &str) {
         match self.db.analyze_with(src, self.opts) {
             Ok(report) => print!("{report}"),

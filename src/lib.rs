@@ -56,7 +56,7 @@ pub use tmql_model::{Record, Ty, Value};
 pub use tmql_obs::{MetricsRegistry, QueryLog};
 pub use tmql_storage::{Catalog, RecoveryReport, Table, WalActivity};
 
-use tmql_exec::MetricsRecorder;
+use tmql_exec::{MetricsRecorder, PhysPlan};
 use tmql_obs::{json::ObjectBuilder, Counter, Histogram};
 
 /// Adapter wiring `tmql-exec`'s statistics-backed [`Estimator`] into the
@@ -353,8 +353,9 @@ impl QueryResult {
     /// actual rows, the cost model's estimated rows, batches, spilled
     /// rows, and inclusive wall-clock time — followed by the run's work
     /// counters (pool hits/misses, index probes, spill traffic, …) and a
-    /// one-line summary. [`Database::analyze_with`] returns exactly this;
-    /// the slow-query log embeds it for offending statements.
+    /// one-line summary. [`Database::analyze_with`] returns this after the
+    /// explain sections; the slow-query log embeds it for offending
+    /// statements.
     pub fn render_analyze(&self) -> String {
         format!(
             "== analyze (executed) ==\n{}-- {}\n-- wall={}µs max_qerror={:.2} total_work={}\n",
@@ -767,13 +768,23 @@ impl Database {
     /// assert!(tight.metrics.peak_resident_rows < free.metrics.peak_resident_rows);
     /// ```
     pub fn query_with(&self, src: &str, opts: QueryOptions) -> Result<QueryResult, TmqlError> {
+        self.query_observed(src, opts).map(|(result, _)| result)
+    }
+
+    /// [`Database::query_with`], also returning the executed physical
+    /// plan.
+    fn query_observed(
+        &self,
+        src: &str,
+        opts: QueryOptions,
+    ) -> Result<(QueryResult, PhysPlan), TmqlError> {
         let start = Instant::now();
         let wal_before = self.catalog.wal_activity().unwrap_or_default();
         match self.run_pipeline(src, opts) {
-            Ok(mut result) => {
+            Ok((mut result, phys)) => {
                 result.wall_micros = start.elapsed().as_micros() as u64;
                 self.observe_query(src, opts, &result, &wal_before);
-                Ok(result)
+                Ok((result, phys))
             }
             Err(e) => {
                 self.obs.query_errors.inc();
@@ -784,7 +795,11 @@ impl Database {
 
     /// The uninstrumented parse→plan→execute pipeline behind
     /// [`Database::query_with`].
-    fn run_pipeline(&self, src: &str, opts: QueryOptions) -> Result<QueryResult, TmqlError> {
+    fn run_pipeline(
+        &self,
+        src: &str,
+        opts: QueryOptions,
+    ) -> Result<(QueryResult, PhysPlan), TmqlError> {
         let est = self.estimator(opts);
         let (translated, optimized) = self.plan(src, opts, est)?;
         let config = opts.exec_config();
@@ -797,7 +812,7 @@ impl Database {
             tmql_exec::execute_collect(&phys, &mut ctx, &tmql_algebra::Env::new(), Some(&est))?;
         let values = rows.iter().map(Plan::row_output_value).collect();
         let op_profile = tmql_exec::op::operator::render_profile(&ops);
-        Ok(QueryResult {
+        let result = QueryResult {
             values,
             translated,
             optimized,
@@ -805,7 +820,8 @@ impl Database {
             op_profile,
             ops,
             wall_micros: 0,
-        })
+        };
+        Ok((result, phys))
     }
 
     /// Fold one finished statement into the registry and (when
@@ -865,11 +881,13 @@ impl Database {
         self.analyze_with(src, QueryOptions::default())
     }
 
-    /// `EXPLAIN ANALYZE`: **run** the query, then render the executed
-    /// operator tree with estimated vs. actual rows, per-operator
-    /// inclusive wall-clock time, spilled rows, and the run's work
-    /// counters (pool, index, spill, WAL-adjacent). The shell exposes
-    /// this as `ANALYZE <query>`.
+    /// `EXPLAIN ANALYZE`: **run** the query, then render the
+    /// [`Database::explain_with`] sections of the executed plans followed
+    /// by [`QueryResult::render_analyze`]: the executed operator tree with
+    /// estimated vs. actual rows, per-operator inclusive wall-clock time,
+    /// spilled rows, and the run's work counters (pool, index, spill,
+    /// WAL-adjacent). The query is planned once. The shell exposes this
+    /// as `ANALYZE <query>` and `\profile <query>`.
     ///
     /// ```
     /// use tmql::Database;
@@ -885,8 +903,16 @@ impl Database {
     pub fn analyze_with(&self, src: &str, opts: QueryOptions) -> Result<String, TmqlError> {
         // Timing is the point of ANALYZE: force collection on even if the
         // caller's options disabled it.
-        let result = self.query_with(src, opts.collect_timing(true))?;
-        Ok(result.render_analyze())
+        let opts = opts.collect_timing(true);
+        let (result, phys) = self.query_observed(src, opts)?;
+        let explain = self.render_explain(
+            &result.translated,
+            &result.optimized,
+            &phys,
+            opts,
+            self.estimator(opts),
+        );
+        Ok(format!("{explain}{}", result.render_analyze()))
     }
 
     /// Render every registered metric in Prometheus text exposition
@@ -991,51 +1017,34 @@ impl Database {
     pub fn explain_with(&self, src: &str, opts: QueryOptions) -> Result<String, TmqlError> {
         let est = self.estimator(opts);
         let (translated, optimized) = self.plan(src, opts, est)?;
-        self.render_explain(&translated, &optimized, opts, est)
+        let phys = tmql_exec::lower(&optimized, &self.catalog, &opts.exec_config())?;
+        Ok(self.render_explain(&translated, &optimized, &phys, opts, est))
     }
 
-    /// The `EXPLAIN` report of already-planned logical plans.
+    /// The `EXPLAIN` report of already-planned plans.
     fn render_explain(
         &self,
         translated: &Plan,
         optimized: &Plan,
+        phys: &PhysPlan,
         opts: QueryOptions,
         est: Estimator<'_>,
-    ) -> Result<String, TmqlError> {
-        let phys = tmql_exec::lower(optimized, &self.catalog, &opts.exec_config())?;
+    ) -> String {
         let annotated = tmql_algebra::pretty::explain_annotated(optimized, &mut |node| {
             Some(format!(
                 "est_rows={}",
                 tmql_exec::cost::format_rows(est.rows(node))
             ))
         });
-        Ok(format!(
+        format!(
             "== translated (nested-loop semantics) ==\n{}\
              == optimized ({}) ==\n{}\
              == physical ==\n{}",
             tmql_algebra::pretty::explain(translated),
             opts.strategy.name(),
             annotated,
-            tmql_exec::cost::explain_with_estimates(&phys, &est),
-        ))
-    }
-
-    /// `EXPLAIN ANALYZE`: the full [`Database::explain_with`] report plus
-    /// the **executed** operator tree with per-operator emitted
-    /// rows/batches and the run's work counters. This runs the query,
-    /// and plans it once: the explain sections show the executed plans.
-    pub fn profile_with(&self, src: &str, opts: QueryOptions) -> Result<String, TmqlError> {
-        let result = self.query_with(src, opts)?;
-        let explain = self.render_explain(
-            &result.translated,
-            &result.optimized,
-            opts,
-            self.estimator(opts),
-        )?;
-        Ok(format!(
-            "{explain}== operators (executed, batch_size={}) ==\n{}-- {}\n",
-            opts.batch_size, result.op_profile, result.metrics,
-        ))
+            tmql_exec::cost::explain_with_estimates(phys, &est),
+        )
     }
 }
 
@@ -1113,16 +1122,15 @@ mod tests {
     #[test]
     fn profile_shows_executed_operator_tree() {
         let s = db()
-            .profile_with(
+            .analyze_with(
                 "SELECT x.a FROM X x WHERE x.b = 1",
                 QueryOptions::default().batch_size(2),
             )
             .unwrap();
-        assert!(
-            s.contains("== operators (executed, batch_size=2) =="),
-            "{s}"
-        );
-        assert!(s.contains("Scan(X) [rows=3"), "{s}");
+        assert!(s.contains("== physical =="), "{s}");
+        assert!(s.contains("== analyze (executed) =="), "{s}");
+        // batch_size=2 over 3 rows: two batches.
+        assert!(s.contains("Scan(X) [rows=3 est=3 batches=2"), "{s}");
         assert!(s.contains("scanned=3"), "{s}");
     }
 

@@ -103,7 +103,7 @@ fn explain_shows_estimated_rows() {
 #[test]
 fn profile_shows_estimated_vs_actual() {
     let db = rs_db(64, 64);
-    let s = db.profile_with(COUNT_BUG, QueryOptions::default()).unwrap();
+    let s = db.analyze_with(COUNT_BUG, QueryOptions::default()).unwrap();
     assert!(s.contains("est="), "estimates missing from profile: {s}");
     let r = db.query_with(COUNT_BUG, QueryOptions::default()).unwrap();
     assert!(!r.ops.is_empty());

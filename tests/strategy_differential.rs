@@ -6,8 +6,10 @@
 
 use proptest::prelude::*;
 use tmql::{Database, QueryOptions, UnnestStrategy};
-use tmql_workload::gen::{gen_rs, gen_xy, GenConfig};
-use tmql_workload::queries::{where_query, COUNT_BUG, MEMBERSHIP, NON_MEMBERSHIP, SUBSETEQ_BUG};
+use tmql_workload::gen::{gen_rs, gen_xy, gen_xyz, GenConfig};
+use tmql_workload::queries::{
+    where_query, COUNT_BUG, MEMBERSHIP, NON_MEMBERSHIP, SECTION8, SECTION8_FLAT, SUBSETEQ_BUG,
+};
 
 fn arb_config() -> impl Strategy<Value = GenConfig> {
     (1usize..32, 1usize..48, 0u32..10, 0usize..4, any::<u64>()).prop_map(
@@ -130,6 +132,22 @@ proptest! {
             where_query("x.a INTERSECTS {Z}"),
         ] {
             assert_apply_cache_is_transparent(&db, &src);
+        }
+    }
+
+    /// The Section 8 chain, plus a variant whose innermost block also
+    /// reads the outermost variable. Under the nested-loop strategy that
+    /// the cache check runs, that block cannot be hoisted out of the outer
+    /// Apply's inner plan: one Apply runs nested inside another, once per
+    /// outer binding, with its bindings stacked on the outer ones.
+    #[test]
+    fn cost_based_matches_all_strategies_on_xyz(cfg in arb_config()) {
+        let db = Database::from_catalog(gen_xyz(&cfg));
+        let doubly_correlated =
+            SECTION8_FLAT.replace("WHERE y.d = z.d", "WHERE y.d = z.d AND z.d <> x.b");
+        assert_ne!(doubly_correlated, SECTION8_FLAT);
+        for src in [SECTION8, SECTION8_FLAT, &doubly_correlated] {
+            assert_apply_cache_is_transparent(&db, src);
         }
     }
 
