@@ -266,6 +266,19 @@ impl ScalarExpr {
         }
     }
 
+    /// The top-level conjuncts, left to right: `a ∧ (b ∧ c)` gives
+    /// `[a, b, c]`, anything that is not an `And` gives itself.
+    pub fn conjuncts(&self) -> Vec<ScalarExpr> {
+        match self {
+            ScalarExpr::And(a, b) => {
+                let mut out = a.conjuncts();
+                out.extend(b.conjuncts());
+                out
+            }
+            other => vec![other.clone()],
+        }
+    }
+
     /// Free variables: variables referenced but not bound by an enclosing
     /// quantifier. This is the analysis that detects correlated subqueries
     /// ("subqueries in which free variables occur", Section 3.2).
@@ -499,6 +512,16 @@ impl fmt::Display for ScalarExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn conjuncts_flatten() {
+        let p = ScalarExpr::and(
+            ScalarExpr::and(ScalarExpr::lit(true), ScalarExpr::lit(false)),
+            ScalarExpr::lit(true),
+        );
+        assert_eq!(p.conjuncts().len(), 3);
+        assert_eq!(ScalarExpr::lit(true).conjuncts().len(), 1);
+    }
 
     #[test]
     fn free_vars_respect_quantifier_binding() {

@@ -27,8 +27,9 @@ pub fn default_threads() -> usize {
 /// Join algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinAlgo {
-    /// Let the cost model decide (hash when equi-keys exist and the build
-    /// side fits the heuristics, else nested-loop).
+    /// Let the planner decide: an index nested-loop join where the cost
+    /// model prices probes below scanning and building, else hash when
+    /// equi-keys exist, else nested-loop.
     #[default]
     Auto,
     /// Force nested-loop.

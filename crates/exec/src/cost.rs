@@ -129,13 +129,6 @@ pub mod join_cost {
         r * 1.5 + l
     }
 
-    /// Sort-merge: sort both sides (with a realistic per-row constant —
-    /// key extraction and comparison are not free) + merge.
-    pub fn sort_merge(l: f64, r: f64) -> f64 {
-        let sort = |n: f64| 2.0 * n * (n + 2.0).log2();
-        sort(l) + sort(r) + l + r
-    }
-
     /// Index nested loop: one probe per outer row plus a fetch + full
     /// predicate re-check per candidate the probes return. The inner
     /// operand is never scanned or built — that saving is accounted by
@@ -243,24 +236,17 @@ impl<'a> Estimator<'a> {
         self.node(plan, &Scope::new())
     }
 
-    /// Per-node row estimates in **executed-operator order**: pre-order
-    /// over the plan, except that `Apply` descends only into its outer
-    /// input — the subquery operator tree is instantiated per outer row
-    /// and does not appear in the executed profile. Zips 1:1 with the
-    /// streaming executor's profile tree for the same (lowered) plan.
-    pub fn exec_order_rows(&self, plan: &Plan) -> Vec<f64> {
-        let mut out = Vec::with_capacity(plan.size());
-        self.collect_exec_order(plan, &Scope::new(), &mut out);
-        out
-    }
-
-    /// [`Estimator::exec_order_rows`] for a physical plan (post join
-    /// algorithm / build-side choice / index-path selection). Walks the
-    /// **physical** tree — one estimate per executed operator — because
-    /// index operators collapse logical shapes: an `IndexScan` is one
-    /// operator implementing select-over-scan, an `IndexNLJoin` has no
-    /// inner child at all. Each node's rows come from its
-    /// [`logical_view`], so estimates agree with the logical model.
+    /// Per-node row estimates in **executed-operator order** for a
+    /// physical plan (post join algorithm / build-side choice /
+    /// index-path selection): pre-order, except that `Apply` descends
+    /// only into its outer input — the subquery operator tree is
+    /// instantiated per outer row and does not appear in the executed
+    /// profile. Zips 1:1 with the streaming executor's profile tree.
+    /// Walks the **physical** tree because index operators collapse
+    /// logical shapes: an `IndexScan` is one operator implementing
+    /// select-over-scan, an `IndexNLJoin` has no inner child at all. Each
+    /// node's rows come from its [`logical_view`], so estimates agree
+    /// with the logical model.
     pub fn exec_order_rows_phys(&self, phys: &PhysPlan) -> Vec<f64> {
         let mut out = Vec::new();
         self.collect_exec_order_phys(phys, &mut out);
@@ -276,18 +262,6 @@ impl<'a> Estimator<'a> {
             other => {
                 for c in other.children() {
                     self.collect_exec_order_phys(c, out);
-                }
-            }
-        }
-    }
-
-    fn collect_exec_order(&self, plan: &Plan, outer: &Scope, out: &mut Vec<f64>) {
-        out.push(self.node(plan, outer).rows);
-        match plan {
-            Plan::Apply { input, .. } => self.collect_exec_order(input, outer, out),
-            other => {
-                for c in other.children() {
-                    self.collect_exec_order(c, outer, out);
                 }
             }
         }
@@ -886,8 +860,7 @@ impl<'a> Estimator<'a> {
         }
         let matches = l.rows * r.rows * sel.clamp(MIN_SELECTIVITY, 1.0);
         let index_work = self.index_join_work(l.rows, matches, right, &split.right_keys)?;
-        let scan_algo = join_cost::hash(l.rows, r.rows).min(join_cost::sort_merge(l.rows, r.rows));
-        (index_work < r.work + scan_algo).then_some(key_idx)
+        (index_work < r.work + join_cost::hash(l.rows, r.rows)).then_some(key_idx)
     }
 
     fn join_node(&self, plan: &Plan, outer: &Scope) -> CostEstimate {
@@ -1294,10 +1267,9 @@ mod tests {
 
     #[test]
     fn join_cost_ranking_large_inputs() {
-        // At scale, hash < sort-merge < nested-loop.
+        // At scale, hash < nested-loop.
         let (l, r) = (10_000.0, 10_000.0);
-        assert!(join_cost::hash(l, r) < join_cost::sort_merge(l, r));
-        assert!(join_cost::sort_merge(l, r) < join_cost::nested_loop(l, r));
+        assert!(join_cost::hash(l, r) < join_cost::nested_loop(l, r));
     }
 
     #[test]
@@ -1596,9 +1568,10 @@ mod tests {
         let cat = catalog();
         let sub = Plan::scan("BIG", "y").map(E::path("y", &["a"]), "s");
         let apply = Plan::scan("BIG", "x").apply(sub, "z");
+        let phys = crate::planner::lower(&apply, &cat, &crate::ExecConfig::auto()).unwrap();
         let est = Estimator::new(&cat);
         // Apply + its outer scan only — the subquery tree is per-row.
-        assert_eq!(est.exec_order_rows(&apply).len(), 2);
+        assert_eq!(est.exec_order_rows_phys(&phys).len(), 2);
         // Full pre-order would be 4 nodes.
         assert_eq!(apply.size(), 4);
     }

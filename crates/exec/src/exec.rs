@@ -179,17 +179,6 @@ pub fn execute_collect(
     Ok((rows, operator::collect_profile(&root, est)))
 }
 
-/// Lower a logical plan with `config` and execute it, returning rows only.
-pub fn execute_logical(
-    plan: &tmql_algebra::Plan,
-    catalog: &Catalog,
-    config: &ExecConfig,
-) -> Result<Vec<Record>> {
-    let phys = crate::planner::lower(plan, catalog, config)?;
-    let mut ctx = ExecContext::with_config(catalog, config);
-    execute(&phys, &mut ctx, &Env::new())
-}
-
 /// Evaluate a whole scalar expression tree as a constant (no tables); used
 /// for constant subqueries.
 pub fn eval_const(expr: &ScalarExpr) -> Result<Value> {

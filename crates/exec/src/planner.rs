@@ -8,9 +8,10 @@
 //! 1. splits the predicate into conjuncts,
 //! 2. extracts equi-key pairs `left-expr = right-expr` whose sides each
 //!    reference only one operand's variables,
-//! 3. picks nested-loop / hash / sort-merge per the [`ExecConfig`] (or the
-//!    cost model under [`JoinAlgo::Auto`]), keeping non-equi conjuncts as a
-//!    residual predicate.
+//! 3. picks nested-loop / hash / sort-merge per the [`ExecConfig`] (under
+//!    [`JoinAlgo::Auto`]: an index nested-loop join where the cost model
+//!    favours it, else hash on equi-keys, else nested-loop), keeping
+//!    non-equi conjuncts as a residual predicate.
 //!
 //! The produced [`PhysPlan`] is a description only: the streaming
 //! [`crate::op::operator::build`] instantiates it as an operator tree that
@@ -26,18 +27,6 @@ use tmql_storage::Catalog;
 use crate::config::{ExecConfig, JoinAlgo};
 use crate::cost;
 use crate::physical::{JoinKind, PhysPlan};
-
-/// Split a predicate into its top-level conjuncts.
-pub fn split_conjuncts(pred: &ScalarExpr) -> Vec<ScalarExpr> {
-    match pred {
-        ScalarExpr::And(a, b) => {
-            let mut out = split_conjuncts(a);
-            out.extend(split_conjuncts(b));
-            out
-        }
-        other => vec![other.clone()],
-    }
-}
 
 /// Extracted equi-join structure.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,7 +53,7 @@ pub fn extract_equi_keys(
         residual: None,
     };
     let mut residuals = Vec::new();
-    for conj in split_conjuncts(pred) {
+    for conj in pred.conjuncts() {
         if let ScalarExpr::Cmp(tmql_algebra::CmpOp::Eq, a, b) = &conj {
             let fa = a.free_vars();
             let fb = b.free_vars();
@@ -159,7 +148,7 @@ pub fn index_selection(
     catalog: &Catalog,
 ) -> Option<IndexSel> {
     use tmql_algebra::CmpOp;
-    let conjuncts = split_conjuncts(pred);
+    let conjuncts = pred.conjuncts();
     for conj in &conjuncts {
         if let Some((attr, CmpOp::Eq, key)) = indexed_cmp(conj, table, var, catalog) {
             return Some(IndexSel {
@@ -366,7 +355,7 @@ pub(crate) fn eq_probe_candidate(
     pred: &ScalarExpr,
     var: &str,
 ) -> Option<(String, ScalarExpr, ScalarExpr)> {
-    for conj in split_conjuncts(pred) {
+    for conj in pred.conjuncts() {
         let ScalarExpr::Cmp(tmql_algebra::CmpOp::Eq, a, b) = &conj else {
             continue;
         };
@@ -548,9 +537,9 @@ pub fn lower(plan: &Plan, catalog: &Catalog, config: &ExecConfig) -> Result<Phys
     })
 }
 
-/// Lower an `Apply` subquery with invariant hoisting. Two rewrites, both
-/// priced by the [`cost::Estimator`] against the per-distinct-binding
-/// repetition count:
+/// Lower an `Apply` subquery with invariant hoisting. Two rewrites, the
+/// first priced by the [`cost::Estimator`] against the
+/// per-distinct-binding repetition count, the second by rule:
 ///
 /// 1. an inner plan shaped `σ[var.attr = key ∧ …](table)` whose key is
 ///    correlation-dependent and whose attribute has no persistent index
@@ -870,13 +859,9 @@ fn lower_join(
         JoinAlgo::NestedLoop
     } else {
         match config.join_algo {
-            JoinAlgo::Auto => {
-                if cost::join_cost::hash(lc, rc) <= cost::join_cost::sort_merge(lc, rc) {
-                    JoinAlgo::Hash
-                } else {
-                    JoinAlgo::SortMerge
-                }
-            }
+            // One build and one probe pass cost less than sorting both
+            // sides at every input size, so equi-joins hash.
+            JoinAlgo::Auto => JoinAlgo::Hash,
             forced => forced,
         }
     };
@@ -939,12 +924,6 @@ mod tests {
 
     fn vars(names: &[&str]) -> BTreeSet<String> {
         names.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn split_conjuncts_flattens() {
-        let p = E::and(E::and(E::lit(true), E::lit(false)), E::lit(true));
-        assert_eq!(split_conjuncts(&p).len(), 3);
     }
 
     #[test]

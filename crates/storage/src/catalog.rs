@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use tmql_model::{ModelError, Record, Result, Schema, Ty};
 
-use crate::index::{decode_index, encode_index, OrdIndex};
+use crate::index::{decode_index, index_writer, OrdIndex};
 use crate::pager::{CatalogImage, IndexImage, PageId, PagedStore, PoolStats, TableImage};
 use crate::stats::TableStats;
 use crate::table::Table;
@@ -478,7 +478,7 @@ impl Catalog {
         for key in index_keys {
             let ord = OrdIndex::build(&table, &key.1)?;
             let chain = match self.store.as_ref() {
-                Some(store) => Some(store.write_blob(&encode_index(&ord))?),
+                Some(store) => Some(store.write_blob(&index_writer(&ord).finish()?)?),
                 None => None,
             };
             rebuilt.push((key, IndexEntry { ord, chain }));
@@ -621,7 +621,7 @@ impl Catalog {
         self.statement(|cat| {
             let ord = OrdIndex::build(cat.table(&key.0)?, &key.1)?;
             let chain = match cat.store.as_ref() {
-                Some(store) => Some(store.write_blob(&encode_index(&ord))?),
+                Some(store) => Some(store.write_blob(&index_writer(&ord).finish()?)?),
                 None => None,
             };
             cat.indexes.insert(key.clone(), IndexEntry { ord, chain });

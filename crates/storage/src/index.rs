@@ -24,9 +24,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use tmql_model::{ModelError, Result, Value};
+use tmql_model::{Result, Value};
 
-use crate::spill::{decode_value, encode_value};
+use crate::codec::{Reader, Writer};
 use crate::table::Table;
 
 /// Batch granularity for index builds (disk tables stream through the
@@ -289,82 +289,40 @@ impl OrdIndex {
 // Persisted encoding (stored as a page chain; committed with the catalog)
 // ---------------------------------------------------------------------------
 
-fn w_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// Error-message name of the index format.
+const FORMAT: &str = "index";
 
-fn w_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Serialize an [`OrdIndex`]'s entries (keys reuse the spill value codec,
-/// so NaN floats and complex keys round-trip bit-exactly).
+/// Serialize an [`OrdIndex`]'s entries: a count, then per key its
+/// length-prefixed value encoding (so NaN floats and complex keys
+/// round-trip bit-exactly) and its `u64` positions. Keys nested deeper
+/// than [`crate::codec::MAX_DEPTH`] encode but would not decode; the
+/// catalog's index save checks `index_writer` instead.
 pub fn encode_index(idx: &OrdIndex) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    w_u32(&mut out, idx.map.len() as u32);
+    index_writer(idx).into_bytes()
+}
+
+/// The index encoding in a [`Writer`], whose [`Writer::finish`] refuses
+/// what [`decode_index`] would.
+pub(crate) fn index_writer(idx: &OrdIndex) -> Writer {
+    let mut w = Writer::new(FORMAT);
+    w.count(idx.map.len());
     for (k, ps) in idx.iter() {
-        let mut key = Vec::new();
-        encode_value(&mut key, k);
-        w_u32(&mut out, key.len() as u32);
-        out.extend_from_slice(&key);
-        w_u32(&mut out, ps.len() as u32);
-        for &p in ps {
-            w_u64(&mut out, p as u64);
-        }
+        w.sized(|w| w.value(k));
+        w.count(ps.len());
+        ps.iter().for_each(|&p| w.u64(p as u64));
     }
-    out
-}
-
-struct IndexCursor<'a> {
-    blob: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> IndexCursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|e| *e <= self.blob.len())
-            .ok_or_else(|| ModelError::Io("index decode: truncated blob".into()))?;
-        let s = &self.blob[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
+    w
 }
 
 /// Decode a persisted index blob (the inverse of [`encode_index`]).
-/// Malformed bytes are [`ModelError::Io`], never a panic.
+/// Malformed bytes are [`tmql_model::ModelError::Io`], never a panic.
 pub fn decode_index(attr: &str, blob: &[u8]) -> Result<OrdIndex> {
-    let err = |what: &str| ModelError::Io(format!("index decode ({attr}): {what}"));
-    let mut c = IndexCursor { blob, pos: 0 };
-    let n_entries = c.u32()? as usize;
-    let mut entries = Vec::with_capacity(n_entries.min(4096));
-    for _ in 0..n_entries {
-        let key_len = c.u32()? as usize;
-        let key_bytes = c.take(key_len)?;
-        let (key, used) = decode_value(key_bytes)?;
-        if used != key_len {
-            return Err(err("trailing key bytes"));
-        }
-        let n_pos = c.u32()? as usize;
-        let mut ps = Vec::with_capacity(n_pos.min(1 << 20));
-        for _ in 0..n_pos {
-            ps.push(c.u64()? as usize);
-        }
-        entries.push((key, ps));
-    }
-    if c.pos != blob.len() {
-        return Err(err("trailing bytes"));
-    }
+    let mut r = Reader::new(FORMAT, blob);
+    let entries = r.list(|r| {
+        let key = r.sized(Reader::value)?;
+        Ok((key, r.list(|r| Ok(r.u64()? as usize))?))
+    })?;
+    r.expect_end()?;
     Ok(OrdIndex::from_entries(attr, entries))
 }
 
@@ -520,5 +478,13 @@ mod tests {
         trailing.push(0);
         assert!(decode_index("b", &trailing).is_err());
         assert!(decode_index("b", &[7]).is_err());
+    }
+
+    #[test]
+    fn index_save_refuses_keys_too_deep_to_read_back() {
+        let deep = (0..crate::codec::MAX_DEPTH).fold(Value::Null, |v, _| Value::List(vec![v]));
+        let idx = OrdIndex::from_entries("k", [(deep, vec![0])]);
+        assert!(index_writer(&idx).finish().is_err());
+        assert!(decode_index("k", &encode_index(&idx)).is_err());
     }
 }

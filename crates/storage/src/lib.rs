@@ -37,12 +37,14 @@
 //! * [`failpoint`] — the crash-injection seam over the pager's I/O,
 //!   driving the differential crash-recovery test harness;
 //! * [`spill`] — on-disk record runs ([`SpillDir`], [`RunWriter`],
-//!   [`SpillFile`], [`RunReader`]) with a length-prefixed binary codec, the
-//!   substrate of the executor's larger-than-memory (grace-hash /
-//!   partitioned) mode — and of the pager's page payloads, which reuse
-//!   the same Record/Value codec.
+//!   [`SpillFile`], [`RunReader`]), the substrate of the executor's
+//!   larger-than-memory (grace-hash / partitioned) mode;
+//! * [`codec`] — the one bounded byte codec every on-disk format above
+//!   (rows, catalog image, index blobs, WAL records, header page) is
+//!   written and read with.
 
 pub mod catalog;
+pub mod codec;
 pub mod failpoint;
 pub mod index;
 pub mod pager;

@@ -2,21 +2,18 @@
 //! serialized into one blob (stored as a page chain by
 //! [`super::store::PagedStore`]'s header-last catalog commit).
 //!
-//! Values (statistics min/max) reuse the spill codec
-//! ([`crate::spill::encode_value`] / [`crate::spill::decode_value`]), so
-//! the full complex-object universe — NaN floats included — round-trips
-//! bit-exactly. Everything else (types, histograms, fractions) has a
-//! straightforward tagged little-endian encoding; malformed bytes decode
-//! to [`ModelError::Io`], never a panic.
-
-use std::collections::BTreeMap;
+//! Everything is written with [`crate::codec`]: types and statistics
+//! min/max values in its tagged encodings (each value behind a `u32`
+//! byte length), so the full complex-object universe — NaN floats
+//! included — round-trips bit-exactly; malformed bytes decode to
+//! [`tmql_model::ModelError::Io`], never a panic.
 
 use tmql_model::schema::{AttrDef, ClassDef, Schema, SortDef};
-use tmql_model::{ModelError, Result, Ty, Value};
+use tmql_model::{Result, Ty, Value};
 
 use super::page::PageId;
 use super::store::TableExtent;
-use crate::spill::{decode_value, encode_value};
+use crate::codec::{Reader, Writer};
 use crate::stats::{ColumnStats, Histogram, TableStats};
 
 /// One persisted table: its identity, schema, extent, and statistics.
@@ -61,426 +58,177 @@ pub struct CatalogImage {
     pub indexes: Vec<IndexImage>,
 }
 
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
+/// Error-message name of the catalog format.
+const FORMAT: &str = "catalog";
 
-fn w_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn w_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn w_str(out: &mut Vec<u8>, s: &str) {
-    w_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-mod ty_tag {
-    pub const BOOL: u8 = 0;
-    pub const INT: u8 = 1;
-    pub const FLOAT: u8 = 2;
-    pub const STR: u8 = 3;
-    pub const TUPLE: u8 = 4;
-    pub const SET: u8 = 5;
-    pub const LIST: u8 = 6;
-    pub const VARIANT: u8 = 7;
-    pub const CLASS: u8 = 8;
-    pub const ANY: u8 = 9;
-}
-
-fn w_ty(out: &mut Vec<u8>, ty: &Ty) {
-    match ty {
-        Ty::Bool => w_u8(out, ty_tag::BOOL),
-        Ty::Int => w_u8(out, ty_tag::INT),
-        Ty::Float => w_u8(out, ty_tag::FLOAT),
-        Ty::Str => w_u8(out, ty_tag::STR),
-        Ty::Tuple(fields) => {
-            w_u8(out, ty_tag::TUPLE);
-            w_u32(out, fields.len() as u32);
-            for (l, t) in fields {
-                w_str(out, l);
-                w_ty(out, t);
-            }
-        }
-        Ty::Set(t) => {
-            w_u8(out, ty_tag::SET);
-            w_ty(out, t);
-        }
-        Ty::List(t) => {
-            w_u8(out, ty_tag::LIST);
-            w_ty(out, t);
-        }
-        Ty::Variant(alts) => {
-            w_u8(out, ty_tag::VARIANT);
-            w_u32(out, alts.len() as u32);
-            for (l, t) in alts {
-                w_str(out, l);
-                w_ty(out, t);
-            }
-        }
-        Ty::Class(n) => {
-            w_u8(out, ty_tag::CLASS);
-            w_str(out, n);
-        }
-        Ty::Any => w_u8(out, ty_tag::ANY),
-    }
-}
-
-fn w_value(out: &mut Vec<u8>, v: &Value) {
-    let mut bytes = Vec::new();
-    encode_value(&mut bytes, v);
-    w_u32(out, bytes.len() as u32);
-    out.extend_from_slice(&bytes);
-}
-
-fn w_opt_value(out: &mut Vec<u8>, v: &Option<Value>) {
+fn w_opt_value(w: &mut Writer, v: &Option<Value>) {
     match v {
-        None => w_u8(out, 0),
+        None => w.u8(0),
         Some(v) => {
-            w_u8(out, 1);
-            w_value(out, v);
+            w.u8(1);
+            w.sized(|w| w.value(v));
         }
     }
 }
 
-fn w_histogram(out: &mut Vec<u8>, h: &Option<Histogram>) {
-    match h {
-        None => w_u8(out, 0),
+fn w_column_stats(w: &mut Writer, c: &ColumnStats) {
+    w.u64(c.distinct as u64);
+    w_opt_value(w, &c.min);
+    w_opt_value(w, &c.max);
+    w.f64(c.null_fraction);
+    w.f64(c.set_valued_fraction);
+    w.f64(c.empty_set_fraction);
+    w.f64(c.avg_set_card);
+    match &c.histogram {
+        None => w.u8(0),
         Some(h) => {
-            w_u8(out, 1);
-            w_f64(out, h.lo);
-            w_f64(out, h.hi);
-            w_u32(out, h.counts.len() as u32);
-            for &c in &h.counts {
-                w_u64(out, c);
-            }
-            w_u64(out, h.total);
+            w.u8(1);
+            w.f64(h.lo);
+            w.f64(h.hi);
+            w.count(h.counts.len());
+            h.counts.iter().for_each(|&c| w.u64(c));
+            w.u64(h.total);
         }
     }
 }
 
-fn w_column_stats(out: &mut Vec<u8>, c: &ColumnStats) {
-    w_u64(out, c.distinct as u64);
-    w_opt_value(out, &c.min);
-    w_opt_value(out, &c.max);
-    w_f64(out, c.null_fraction);
-    w_f64(out, c.set_valued_fraction);
-    w_f64(out, c.empty_set_fraction);
-    w_f64(out, c.avg_set_card);
-    w_histogram(out, &c.histogram);
-}
-
-fn w_table_stats(out: &mut Vec<u8>, s: &TableStats) {
-    w_u64(out, s.cardinality as u64);
-    w_u32(out, s.columns.len() as u32);
-    for (name, c) in &s.columns {
-        w_str(out, name);
-        w_column_stats(out, c);
-    }
-}
-
-/// Serialize a catalog image into one blob.
+/// Serialize a catalog image into one blob. Types or statistics values
+/// nested deeper than [`crate::codec::MAX_DEPTH`] encode but would not
+/// decode; the store's catalog save checks `catalog_writer` instead.
 pub fn encode_catalog(img: &CatalogImage) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1024);
+    catalog_writer(img).into_bytes()
+}
+
+/// The catalog encoding in a [`Writer`], whose [`Writer::finish`]
+/// refuses what [`decode_catalog`] would.
+pub(crate) fn catalog_writer(img: &CatalogImage) -> Writer {
+    let mut w = Writer::with_capacity(FORMAT, 1024);
     // Schema: classes then sorts.
-    w_u32(&mut out, img.schema.classes().len() as u32);
+    w.count(img.schema.classes().len());
     for c in img.schema.classes() {
-        w_str(&mut out, &c.name);
-        w_str(&mut out, &c.extension);
-        w_u32(&mut out, c.attributes.len() as u32);
+        w.str(&c.name);
+        w.str(&c.extension);
+        w.count(c.attributes.len());
         for a in &c.attributes {
-            w_str(&mut out, &a.name);
-            w_ty(&mut out, &a.ty);
+            w.str(&a.name);
+            w.ty(&a.ty);
         }
     }
-    w_u32(&mut out, img.schema.sorts().len() as u32);
+    w.count(img.schema.sorts().len());
     for s in img.schema.sorts() {
-        w_str(&mut out, &s.name);
-        w_ty(&mut out, &s.ty);
+        w.str(&s.name);
+        w.ty(&s.ty);
     }
     // Tables.
-    w_u32(&mut out, img.tables.len() as u32);
+    w.count(img.tables.len());
     for t in &img.tables {
-        w_str(&mut out, &t.name);
-        w_u32(&mut out, t.columns.len() as u32);
-        for (l, ty) in &t.columns {
-            w_str(&mut out, l);
-            w_ty(&mut out, ty);
-        }
-        w_u64(&mut out, t.extent.rows);
-        w_u32(&mut out, t.extent.pages.len() as u32);
+        w.str(&t.name);
+        w.labeled_tys(&t.columns);
+        w.u64(t.extent.rows);
+        w.count(t.extent.pages.len());
         for &(pid, rows) in &t.extent.pages {
-            w_u32(&mut out, pid);
-            w_u16(&mut out, rows);
+            w.u32(pid);
+            w.u16(rows);
         }
-        w_table_stats(&mut out, &t.stats);
+        w.u64(t.stats.cardinality as u64);
+        w.count(t.stats.columns.len());
+        for (name, c) in &t.stats.columns {
+            w.str(name);
+            w_column_stats(&mut w, c);
+        }
     }
     // Indexes (trailing section; absent in pre-index files).
-    w_u32(&mut out, img.indexes.len() as u32);
+    w.count(img.indexes.len());
     for ix in &img.indexes {
-        w_str(&mut out, &ix.table);
-        w_str(&mut out, &ix.attr);
-        w_u8(&mut out, ix.kind);
-        w_u32(&mut out, ix.first);
-        w_u64(&mut out, ix.len);
+        w.str(&ix.table);
+        w.str(&ix.attr);
+        w.u8(ix.kind);
+        w.u32(ix.first);
+        w.u64(ix.len);
     }
-    out
+    w
 }
 
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn r_opt_value(r: &mut Reader<'_>) -> Result<Option<Value>> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => r.sized(Reader::value).map(Some),
+        other => Err(r.err(format_args!("bad option tag {other}"))),
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|e| *e <= self.buf.len())
-            .ok_or_else(|| {
-                ModelError::Io(format!("catalog decode: truncated blob (want {n} bytes)"))
-            })?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
+fn r_column_stats(r: &mut Reader<'_>) -> Result<ColumnStats> {
+    Ok(ColumnStats {
+        distinct: r.u64()? as usize,
+        min: r_opt_value(r)?,
+        max: r_opt_value(r)?,
+        null_fraction: r.f64()?,
+        set_valued_fraction: r.f64()?,
+        empty_set_fraction: r.f64()?,
+        avg_set_card: r.f64()?,
+        histogram: match r.u8()? {
+            0 => None,
+            1 => Some(Histogram {
+                lo: r.f64()?,
+                hi: r.f64()?,
+                counts: r.list(Reader::u64)?,
+                total: r.u64()?,
+            }),
+            other => return Err(r.err(format_args!("bad histogram tag {other}"))),
+        },
+    })
+}
 
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        std::str::from_utf8(self.take(n)?)
-            .map(str::to_string)
-            .map_err(|e| ModelError::Io(format!("catalog decode: invalid UTF-8: {e}")))
-    }
-
-    fn ty(&mut self) -> Result<Ty> {
-        Ok(match self.u8()? {
-            ty_tag::BOOL => Ty::Bool,
-            ty_tag::INT => Ty::Int,
-            ty_tag::FLOAT => Ty::Float,
-            ty_tag::STR => Ty::Str,
-            ty_tag::TUPLE => {
-                let n = self.u32()? as usize;
-                let mut fields = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let l = self.str()?;
-                    fields.push((l, self.ty()?));
-                }
-                Ty::Tuple(fields)
-            }
-            ty_tag::SET => Ty::Set(Box::new(self.ty()?)),
-            ty_tag::LIST => Ty::List(Box::new(self.ty()?)),
-            ty_tag::VARIANT => {
-                let n = self.u32()? as usize;
-                let mut alts = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let l = self.str()?;
-                    alts.push((l, self.ty()?));
-                }
-                Ty::Variant(alts)
-            }
-            ty_tag::CLASS => Ty::Class(self.str()?),
-            ty_tag::ANY => Ty::Any,
-            other => {
-                return Err(ModelError::Io(format!(
-                    "catalog decode: unknown type tag {other}"
-                )))
-            }
-        })
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        let (v, used) = decode_value(bytes)?;
-        if used != n {
-            return Err(ModelError::Io(
-                "catalog decode: trailing value bytes".into(),
-            ));
-        }
-        Ok(v)
-    }
-
-    fn opt_value(&mut self) -> Result<Option<Value>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.value()?)),
-            other => Err(ModelError::Io(format!(
-                "catalog decode: bad option tag {other}"
-            ))),
-        }
-    }
-
-    fn histogram(&mut self) -> Result<Option<Histogram>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let lo = self.f64()?;
-                let hi = self.f64()?;
-                let n = self.u32()? as usize;
-                let mut counts = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    counts.push(self.u64()?);
-                }
-                let total = self.u64()?;
-                Ok(Some(Histogram {
-                    lo,
-                    hi,
-                    counts,
-                    total,
-                }))
-            }
-            other => Err(ModelError::Io(format!(
-                "catalog decode: bad histogram tag {other}"
-            ))),
-        }
-    }
-
-    fn column_stats(&mut self) -> Result<ColumnStats> {
-        Ok(ColumnStats {
-            distinct: self.u64()? as usize,
-            min: self.opt_value()?,
-            max: self.opt_value()?,
-            null_fraction: self.f64()?,
-            set_valued_fraction: self.f64()?,
-            empty_set_fraction: self.f64()?,
-            avg_set_card: self.f64()?,
-            histogram: self.histogram()?,
-        })
-    }
-
-    fn table_stats(&mut self) -> Result<TableStats> {
-        let cardinality = self.u64()? as usize;
-        let n = self.u32()? as usize;
-        let mut columns = BTreeMap::new();
-        for _ in 0..n {
-            let name = self.str()?;
-            columns.insert(name, self.column_stats()?);
-        }
-        Ok(TableStats {
+fn r_table(r: &mut Reader<'_>) -> Result<TableImage> {
+    let name = r.str()?.to_string();
+    let columns = r.labeled_tys()?;
+    let rows = r.u64()?;
+    let pages = r.list(|r| Ok((r.u32()?, r.u16()?)))?;
+    let cardinality = r.u64()? as usize;
+    let stats = r.list(|r| Ok((r.str()?.to_string(), r_column_stats(r)?)))?;
+    Ok(TableImage {
+        name,
+        columns,
+        extent: TableExtent { pages, rows },
+        stats: TableStats {
             cardinality,
-            columns,
-        })
-    }
+            columns: stats.into_iter().collect(),
+        },
+    })
 }
 
 /// Decode a catalog blob (the inverse of [`encode_catalog`]).
 pub fn decode_catalog(blob: &[u8]) -> Result<CatalogImage> {
-    let mut c = Cursor { buf: blob, pos: 0 };
+    let mut r = Reader::new(FORMAT, blob);
     let mut schema = Schema::new();
-    for _ in 0..c.u32()? {
-        let name = c.str()?;
-        let extension = c.str()?;
-        let n_attrs = c.u32()? as usize;
-        let mut attributes = Vec::with_capacity(n_attrs.min(4096));
-        for _ in 0..n_attrs {
-            let a = c.str()?;
-            attributes.push(AttrDef::new(a, c.ty()?));
-        }
+    for _ in 0..r.count()? {
+        let name = r.str()?.to_string();
+        let extension = r.str()?.to_string();
+        let attributes = r.list(|r| Ok(AttrDef::new(r.str()?, r.ty()?)))?;
         schema.add_class(ClassDef::new(name, extension, attributes))?;
     }
-    for _ in 0..c.u32()? {
-        let name = c.str()?;
-        let ty = c.ty()?;
+    for _ in 0..r.count()? {
+        let name = r.str()?.to_string();
+        let ty = r.ty()?;
         schema.add_sort(SortDef { name, ty })?;
     }
-    let n_tables = c.u32()? as usize;
-    let mut tables = Vec::with_capacity(n_tables.min(4096));
-    for _ in 0..n_tables {
-        let name = c.str()?;
-        let n_cols = c.u32()? as usize;
-        let mut columns = Vec::with_capacity(n_cols.min(4096));
-        for _ in 0..n_cols {
-            let l = c.str()?;
-            columns.push((l, c.ty()?));
-        }
-        let rows = c.u64()?;
-        let n_pages = c.u32()? as usize;
-        let mut pages = Vec::with_capacity(n_pages.min(1 << 20));
-        for _ in 0..n_pages {
-            let pid = c.u32()?;
-            pages.push((pid, c.u16()?));
-        }
-        let stats = c.table_stats()?;
-        tables.push(TableImage {
-            name,
-            columns,
-            extent: TableExtent { pages, rows },
-            stats,
-        });
-    }
+    let tables = r.list(r_table)?;
     // Index section: files written before indexes existed end exactly at
     // the tables, so only read it when bytes remain.
-    let mut indexes = Vec::new();
-    if c.pos < blob.len() {
-        let n = c.u32()? as usize;
-        indexes.reserve(n.min(4096));
-        for _ in 0..n {
-            let table = c.str()?;
-            let attr = c.str()?;
-            let kind = c.u8()?;
-            let first = c.u32()?;
-            let len = c.u64()?;
-            indexes.push(IndexImage {
-                table,
-                attr,
-                kind,
-                first,
-                len,
-            });
-        }
-    }
-    if c.pos != blob.len() {
-        return Err(ModelError::Io(format!(
-            "catalog decode: {} trailing bytes",
-            blob.len() - c.pos
-        )));
-    }
+    let indexes = if r.remaining() > 0 {
+        r.list(|r| {
+            Ok(IndexImage {
+                table: r.str()?.to_string(),
+                attr: r.str()?.to_string(),
+                kind: r.u8()?,
+                first: r.u32()?,
+                len: r.u64()?,
+            })
+        })?
+    } else {
+        Vec::new()
+    };
+    r.expect_end()?;
     Ok(CatalogImage {
         schema,
         tables,
@@ -492,6 +240,7 @@ pub fn decode_catalog(blob: &[u8]) -> Result<CatalogImage> {
 mod tests {
     use super::*;
     use crate::table::int_table;
+    use std::collections::BTreeMap;
     use tmql_model::schema::paper_schema;
 
     #[test]

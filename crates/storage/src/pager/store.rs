@@ -58,11 +58,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use tmql_model::{ModelError, Record, Result};
 
-use super::image::{decode_catalog, encode_catalog, CatalogImage};
+use super::image::{catalog_writer, decode_catalog, CatalogImage};
 use super::page::{self, PageId, NO_PAGE, OVF_CAPACITY, PAGE_SIZE};
 use super::pool::{BufferPool, PoolStats};
+use crate::codec::{Reader, Writer};
 use crate::failpoint::{self, IoOp, WriteCheck};
-use crate::spill::{decode_record, encode_record};
+use crate::spill::{decode_record, encode_row};
 use crate::wal::{CommitRecord, RecoveryReport, Wal, WalActivity};
 
 /// Default buffer-pool capacity in pages (2 MiB at the 8 KiB page size).
@@ -77,6 +78,8 @@ pub const DEFAULT_WAL_CHECKPOINT_BYTES: u64 = 1 << 20;
 
 const MAGIC: [u8; 4] = *b"TMQB";
 const VERSION: u16 = 1;
+/// Error-message name of the header page format.
+const FORMAT: &str = "header";
 
 /// Fixed header bytes before the free list (magic, version, page size,
 /// watermark, catalog pointer + length).
@@ -195,61 +198,52 @@ struct Meta {
 
 impl Meta {
     /// Encode the header page: fixed fields, then the free list
-    /// (count + ids). Files written before the free list existed decode
-    /// with `free_count == 0`, so the format version is unchanged.
+    /// (count + ids), zero-padded to a page. Files written before the
+    /// free list existed decode with an empty list, so the format
+    /// version is unchanged.
     fn encode(&self, free: &[PageId]) -> Vec<u8> {
         debug_assert!(free.len() <= FREE_LIST_CAP);
-        let mut buf = vec![0u8; PAGE_SIZE];
-        buf[..4].copy_from_slice(&MAGIC);
-        buf[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        buf[6..10].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
-        buf[10..14].copy_from_slice(&self.next_page.to_le_bytes());
-        buf[14..18].copy_from_slice(&self.catalog_first.to_le_bytes());
-        buf[18..26].copy_from_slice(&self.catalog_len.to_le_bytes());
-        buf[26..30].copy_from_slice(&(free.len() as u32).to_le_bytes());
-        for (i, pid) in free.iter().enumerate() {
-            let at = 30 + 4 * i;
-            buf[at..at + 4].copy_from_slice(&pid.to_le_bytes());
-        }
+        let mut w = Writer::with_capacity(FORMAT, PAGE_SIZE);
+        w.bytes(&MAGIC);
+        w.u16(VERSION);
+        w.u32(PAGE_SIZE as u32);
+        w.u32(self.next_page);
+        w.u32(self.catalog_first);
+        w.u64(self.catalog_len);
+        w.count(free.len());
+        free.iter().for_each(|&pid| w.u32(pid));
+        let mut buf = w.into_bytes();
+        buf.resize(PAGE_SIZE, 0);
         buf
     }
 
+    /// Decode a header page. The page holds at most [`FREE_LIST_CAP`]
+    /// free-list ids, so a longer claimed list fails as truncated.
     fn decode(buf: &[u8]) -> Result<(Meta, Vec<PageId>)> {
-        if buf[..4] != MAGIC {
+        let mut r = Reader::new(FORMAT, buf);
+        if r.take(MAGIC.len())? != MAGIC {
             return Err(ModelError::Io(
                 "not a tmql database file (bad magic)".into(),
             ));
         }
-        let version = u16::from_le_bytes([buf[4], buf[5]]);
+        let version = r.u16()?;
         if version != VERSION {
             return Err(ModelError::Io(format!(
                 "unsupported database format version {version} (this build reads {VERSION})"
             )));
         }
-        let page_size = u32::from_le_bytes(buf[6..10].try_into().expect("4 bytes"));
+        let page_size = r.u32()?;
         if page_size as usize != PAGE_SIZE {
             return Err(ModelError::Io(format!(
                 "database page size {page_size} does not match this build's {PAGE_SIZE}"
             )));
         }
         let meta = Meta {
-            next_page: u32::from_le_bytes(buf[10..14].try_into().expect("4 bytes")),
-            catalog_first: u32::from_le_bytes(buf[14..18].try_into().expect("4 bytes")),
-            catalog_len: u64::from_le_bytes(buf[18..26].try_into().expect("8 bytes")),
+            next_page: r.u32()?,
+            catalog_first: r.u32()?,
+            catalog_len: r.u64()?,
         };
-        let free_count = u32::from_le_bytes(buf[26..30].try_into().expect("4 bytes")) as usize;
-        if free_count > FREE_LIST_CAP {
-            return Err(ModelError::Io(format!(
-                "corrupted header: free list claims {free_count} pages"
-            )));
-        }
-        let free = (0..free_count)
-            .map(|i| {
-                let at = 30 + 4 * i;
-                u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
-            })
-            .collect();
-        Ok((meta, free))
+        Ok((meta, r.list(Reader::u32)?))
     }
 }
 
@@ -567,7 +561,7 @@ impl PagedStore {
 
     /// Append one encoded record to an in-progress table build.
     fn append_row(&self, build: &mut TableBuild, rec: &Record) -> Result<()> {
-        let bytes = encode_record(rec);
+        let bytes = encode_row(rec)?;
         if build.cur.is_none() {
             self.start_data_page(build);
         }
@@ -581,24 +575,37 @@ impl PagedStore {
         } else {
             // Oversized record: spill its bytes into an overflow chain,
             // then reference the chain from the data page.
-            let chunks: Vec<&[u8]> = bytes.chunks(OVF_CAPACITY).collect();
-            let ids: Vec<PageId> = chunks.iter().map(|_| self.alloc()).collect();
-            let mut ovf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-            for (i, chunk) in chunks.iter().enumerate() {
-                let next = ids.get(i + 1).copied().unwrap_or(NO_PAGE);
-                page::init_overflow(&mut ovf, next, chunk);
-                self.pool.install(ids[i], &ovf, &self.file)?;
-            }
+            let total = u32::try_from(bytes.len()).map_err(|_| {
+                ModelError::Io(format!(
+                    "record of {} bytes exceeds a page chain",
+                    bytes.len()
+                ))
+            })?;
+            let first = self.write_chain(&bytes)?;
             if !page::fits_overflow_ref(&build.cur.as_ref().expect("open page").1) {
                 self.seal_data_page(build)?;
                 self.start_data_page(build);
             }
             let (_, buf) = build.cur.as_mut().expect("open page");
-            page::push_overflow_ref(buf, ids[0], bytes.len() as u32);
+            page::push_overflow_ref(buf, first, total);
         }
         build.rows_in_cur += 1;
         build.rows += 1;
         Ok(())
+    }
+
+    /// Write `bytes` as a fresh overflow-page chain and return its head
+    /// page ([`NO_PAGE`] for no bytes).
+    fn write_chain(&self, bytes: &[u8]) -> Result<PageId> {
+        let chunks: Vec<&[u8]> = bytes.chunks(OVF_CAPACITY).collect();
+        let ids: Vec<PageId> = chunks.iter().map(|_| self.alloc()).collect();
+        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
+        for (i, chunk) in chunks.iter().enumerate() {
+            let next = ids.get(i + 1).copied().unwrap_or(NO_PAGE);
+            page::init_overflow(&mut buf, next, chunk);
+            self.pool.install(ids[i], &buf, &self.file)?;
+        }
+        Ok(ids.first().copied().unwrap_or(NO_PAGE))
     }
 
     /// Write a whole table and return its extent.
@@ -618,39 +625,19 @@ impl PagedStore {
 
     // -- reading ------------------------------------------------------------
 
-    /// Assemble the full bytes of an overflow chain starting at `first`.
-    fn read_chain(&self, first: PageId, total: u32) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(total as usize);
-        let mut pid = first;
+    /// Walk the overflow chain at `first` that holds `total` bytes,
+    /// handing each page id and image to `visit`.
+    fn walk_chain(
+        &self,
+        first: PageId,
+        total: u64,
+        mut visit: impl FnMut(PageId, &[u8]) -> Result<()>,
+    ) -> Result<()> {
         // A well-formed chain of `total` bytes spans at most this many
         // pages; anything longer (including zero-length-chunk cycles,
-        // which never grow `out`) is corruption, not progress.
-        let mut pages_left = total as usize / OVF_CAPACITY + 2;
-        while pid != NO_PAGE {
-            if out.len() > total as usize || pages_left == 0 {
-                return Err(ModelError::Io(
-                    "corrupted page: overflow chain too long".into(),
-                ));
-            }
-            pages_left -= 1;
-            let g = self.pool.read(pid, &self.file)?;
-            out.extend_from_slice(page::ovf_data(&g)?);
-            pid = page::ovf_next(&g)?;
-        }
-        if out.len() != total as usize {
-            return Err(ModelError::Io(format!(
-                "corrupted page: overflow chain holds {} bytes, expected {total}",
-                out.len()
-            )));
-        }
-        Ok(out)
-    }
-
-    /// The page ids of an overflow chain (same walk as [`read_chain`],
-    /// without assembling the bytes) — the freeing side's enumeration.
-    fn chain_pages(&self, first: PageId, total: u32, out: &mut Vec<PageId>) -> Result<()> {
+        // which never add bytes) is corruption, not progress.
+        let mut pages_left = total / OVF_CAPACITY as u64 + 2;
         let mut pid = first;
-        let mut pages_left = total as usize / OVF_CAPACITY + 2;
         while pid != NO_PAGE {
             if pages_left == 0 {
                 return Err(ModelError::Io(
@@ -658,8 +645,8 @@ impl PagedStore {
                 ));
             }
             pages_left -= 1;
-            out.push(pid);
             let g = self.pool.read(pid, &self.file)?;
+            visit(pid, &g)?;
             pid = page::ovf_next(&g)?;
         }
         Ok(())
@@ -684,7 +671,7 @@ impl PagedStore {
             // overflow chains (which fault other pages) with it released.
             enum Slot {
                 Inline(Vec<u8>),
-                Chain(PageId, u32),
+                Chain(PageId, u64),
             }
             let copied = {
                 let g = self.pool.read(pid, &self.file)?;
@@ -698,7 +685,9 @@ impl PagedStore {
                     .map(|i| {
                         Ok(match page::slot(&g, i)? {
                             page::SlotRef::Inline(b) => Slot::Inline(b.to_vec()),
-                            page::SlotRef::Overflow { first, total } => Slot::Chain(first, total),
+                            page::SlotRef::Overflow { first, total } => {
+                                Slot::Chain(first, total.into())
+                            }
                         })
                     })
                     .collect::<Result<Vec<Slot>>>()?
@@ -706,7 +695,7 @@ impl PagedStore {
             for slot in copied {
                 let rec = match slot {
                     Slot::Inline(bytes) => decode_record(&bytes)?,
-                    Slot::Chain(first, total) => decode_record(&self.read_chain(first, total)?)?,
+                    Slot::Chain(first, total) => decode_record(&self.read_blob(first, total)?)?,
                 };
                 out.push(rec);
             }
@@ -730,7 +719,7 @@ impl PagedStore {
                 }
             }
             for (first, total) in chains {
-                self.chain_pages(first, total, &mut out)?;
+                out.extend(self.blob_pages(first, total.into())?);
             }
         }
         Ok(out)
@@ -747,35 +736,36 @@ impl PagedStore {
     /// crash-safe.
     pub fn write_blob(&self, blob: &[u8]) -> Result<(PageId, u64)> {
         let _w = self.write_lock();
-        if blob.is_empty() {
-            return Ok((NO_PAGE, 0));
-        }
-        let chunks: Vec<&[u8]> = blob.chunks(OVF_CAPACITY).collect();
-        let ids: Vec<PageId> = chunks.iter().map(|_| self.alloc()).collect();
-        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        for (i, chunk) in chunks.iter().enumerate() {
-            let next = ids.get(i + 1).copied().unwrap_or(NO_PAGE);
-            page::init_overflow(&mut buf, next, chunk);
-            self.pool.install(ids[i], &buf, &self.file)?;
-        }
-        Ok((ids[0], blob.len() as u64))
+        Ok((self.write_chain(blob)?, blob.len() as u64))
     }
 
-    /// Read back a blob written by [`PagedStore::write_blob`].
+    /// Read back a blob written by [`PagedStore::write_blob`] (and any
+    /// other chain: a catalog blob or an oversized row).
     pub fn read_blob(&self, first: PageId, len: u64) -> Result<Vec<u8>> {
-        if first == NO_PAGE {
-            return Ok(Vec::new());
+        // Reserve from the claimed length only up to a few pages: it comes
+        // from disk, and the walk bounds the bytes actually read.
+        let mut out = Vec::with_capacity(len.min(4 * OVF_CAPACITY as u64) as usize);
+        self.walk_chain(first, len, |_, g| {
+            out.extend_from_slice(page::ovf_data(g)?);
+            Ok(())
+        })?;
+        if out.len() as u64 != len {
+            return Err(ModelError::Io(format!(
+                "corrupted page: overflow chain holds {} bytes, expected {len}",
+                out.len()
+            )));
         }
-        self.read_chain(first, len as u32)
+        Ok(out)
     }
 
     /// The page ids of a blob chain — what freeing it hands back to the
     /// free list at a commit.
     pub fn blob_pages(&self, first: PageId, len: u64) -> Result<Vec<PageId>> {
         let mut out = Vec::new();
-        if first != NO_PAGE {
-            self.chain_pages(first, len as u32, &mut out)?;
-        }
+        self.walk_chain(first, len, |pid, _| {
+            out.push(pid);
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -794,24 +784,11 @@ impl PagedStore {
             let st = self.state();
             (st.meta.catalog_first, st.meta.catalog_len)
         };
-        if old_first != NO_PAGE {
-            self.chain_pages(old_first, old_len as u32, &mut freed)?;
-        }
+        freed.extend(self.blob_pages(old_first, old_len)?);
         // Write the new chain. Allocation draws on the *current* free
         // list (pages free in the checkpointed state) — never on `freed`
         // or the pending list, which recovery may still need intact.
-        let mut first = NO_PAGE;
-        if !blob.is_empty() {
-            let chunks: Vec<&[u8]> = blob.chunks(OVF_CAPACITY).collect();
-            let ids: Vec<PageId> = chunks.iter().map(|_| self.alloc()).collect();
-            let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-            for (i, chunk) in chunks.iter().enumerate() {
-                let next = ids.get(i + 1).copied().unwrap_or(NO_PAGE);
-                page::init_overflow(&mut buf, next, chunk);
-                self.pool.install(ids[i], &buf, &self.file)?;
-            }
-            first = ids[0];
-        }
+        let first = self.write_chain(blob)?;
         freed.sort_unstable();
         freed.dedup();
         // Log every page this transaction wrote — minus pages it also
@@ -871,7 +848,7 @@ impl PagedStore {
         if first == NO_PAGE {
             return Ok(None);
         }
-        self.read_chain(first, len as u32).map(Some)
+        self.read_blob(first, len).map(Some)
     }
 
     /// Persist the catalog image (the commit point of register/replace).
@@ -881,9 +858,11 @@ impl PagedStore {
 
     /// Persist the catalog image, returning `freed` pages (a replaced
     /// table's extent and overflow chains) to the free list at the next
-    /// checkpoint after the commit.
+    /// checkpoint after the commit. A type or statistics value nested
+    /// deeper than [`crate::codec::MAX_DEPTH`] is refused before anything
+    /// is written.
     pub fn save_catalog_freeing(&self, image: &CatalogImage, freed: Vec<PageId>) -> Result<()> {
-        self.write_catalog(&encode_catalog(image), freed)
+        self.write_catalog(&catalog_writer(image).finish()?, freed)
     }
 
     // -- checkpointing -------------------------------------------------------

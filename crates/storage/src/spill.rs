@@ -14,21 +14,19 @@
 //! # On-disk format
 //!
 //! A run is a sequence of frames, each `u32` little-endian payload length
-//! followed by the payload: one encoded [`Record`]. Values are encoded with
-//! a one-byte kind tag followed by the payload (integers and float bits
-//! little-endian, strings and labels as `u32` length + UTF-8, containers as
-//! `u32` element count + elements). The codec covers the full [`Value`]
-//! universe — nested tuples, sets, lists, and variants round-trip exactly,
-//! including `NaN` floats (bit-pattern preserved via `to_bits`).
+//! followed by the payload: one [`Record`] in the row encoding of
+//! [`crate::codec`], which data pages store too. It covers the full
+//! value universe — nested tuples, sets, lists, and variants round-trip
+//! exactly, including `NaN` floats.
 
-use std::collections::BTreeSet;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use tmql_model::{ModelError, Record, Result, Value};
+use tmql_model::{ModelError, Record, Result};
+
+use crate::codec::{Reader, Writer};
 
 /// Map an I/O failure into the model error type (rendered, since
 /// `io::Error` is neither `Clone` nor `PartialEq`).
@@ -36,210 +34,34 @@ fn io_err(e: std::io::Error) -> ModelError {
     ModelError::Io(e.to_string())
 }
 
-// ---------------------------------------------------------------------------
-// Value / Record codec
-// ---------------------------------------------------------------------------
-
-mod tag {
-    pub const NULL: u8 = 0;
-    pub const FALSE: u8 = 1;
-    pub const TRUE: u8 = 2;
-    pub const INT: u8 = 3;
-    pub const FLOAT: u8 = 4;
-    pub const STR: u8 = 5;
-    pub const TUPLE: u8 = 6;
-    pub const SET: u8 = 7;
-    pub const LIST: u8 = 8;
-    pub const VARIANT: u8 = 9;
-}
-
-fn encode_len(out: &mut Vec<u8>, n: usize) {
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-}
-
-fn encode_str(out: &mut Vec<u8>, s: &str) {
-    encode_len(out, s.len());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Append the encoding of one value to `out`.
-pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(tag::NULL),
-        Value::Bool(false) => out.push(tag::FALSE),
-        Value::Bool(true) => out.push(tag::TRUE),
-        Value::Int(i) => {
-            out.push(tag::INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(x) => {
-            out.push(tag::FLOAT);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(tag::STR);
-            encode_str(out, s);
-        }
-        Value::Tuple(rec) => {
-            out.push(tag::TUPLE);
-            encode_fields(out, rec);
-        }
-        Value::Set(items) => {
-            out.push(tag::SET);
-            encode_len(out, items.len());
-            for item in items {
-                encode_value(out, item);
-            }
-        }
-        Value::List(items) => {
-            out.push(tag::LIST);
-            encode_len(out, items.len());
-            for item in items {
-                encode_value(out, item);
-            }
-        }
-        Value::Variant(label, inner) => {
-            out.push(tag::VARIANT);
-            encode_str(out, label);
-            encode_value(out, inner);
-        }
-    }
-}
-
-fn encode_fields(out: &mut Vec<u8>, rec: &Record) {
-    encode_len(out, rec.len());
-    for (label, v) in rec.iter() {
-        encode_str(out, label);
-        encode_value(out, v);
-    }
-}
+/// Error-message name of the row format.
+const FORMAT: &str = "record";
 
 /// Encode one record as a standalone byte payload (no length prefix —
-/// framing is the run writer's job).
+/// framing is the run writer's job). Values nested deeper than
+/// [`crate::codec::MAX_DEPTH`] encode but would not decode; the paths that
+/// persist rows use `encode_row`, which refuses them.
 pub fn encode_record(rec: &Record) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    encode_fields(&mut out, rec);
-    out
+    let mut w = Writer::new(FORMAT);
+    w.record(rec);
+    w.into_bytes()
 }
 
-/// Cursor over an encoded payload.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|e| *e <= self.buf.len())
-            .ok_or_else(|| {
-                ModelError::Io(format!("spill decode: truncated payload (want {n} bytes)"))
-            })?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn str(&mut self) -> Result<&'a str> {
-        let n = self.u32()? as usize;
-        std::str::from_utf8(self.take(n)?)
-            .map_err(|e| ModelError::Io(format!("spill decode: invalid UTF-8: {e}")))
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8()? {
-            tag::NULL => Value::Null,
-            tag::FALSE => Value::Bool(false),
-            tag::TRUE => Value::Bool(true),
-            tag::INT => Value::Int(self.u64()? as i64),
-            tag::FLOAT => Value::Float(f64::from_bits(self.u64()?)),
-            tag::STR => Value::Str(Arc::from(self.str()?)),
-            tag::TUPLE => Value::Tuple(self.record()?),
-            tag::SET => {
-                let n = self.u32()? as usize;
-                let mut items = BTreeSet::new();
-                for _ in 0..n {
-                    items.insert(self.value()?);
-                }
-                Value::Set(items)
-            }
-            tag::LIST => {
-                let n = self.u32()? as usize;
-                let mut items = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    items.push(self.value()?);
-                }
-                Value::List(items)
-            }
-            tag::VARIANT => {
-                let label = Arc::from(self.str()?);
-                Value::Variant(label, Box::new(self.value()?))
-            }
-            other => {
-                return Err(ModelError::Io(format!(
-                    "spill decode: unknown value tag {other}"
-                )))
-            }
-        })
-    }
-
-    fn record(&mut self) -> Result<Record> {
-        let n = self.u32()? as usize;
-        let mut fields = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let label = self.str()?.to_string();
-            let v = self.value()?;
-            fields.push((label, v));
-        }
-        Record::new(fields)
-    }
-}
-
-/// Decode one value from the front of a payload (the inverse of
-/// [`encode_value`]), returning the value and the number of bytes
-/// consumed. The pager's catalog image uses this for statistics min/max
-/// values embedded in a larger blob.
-pub fn decode_value(payload: &[u8]) -> Result<(Value, usize)> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
-    let v = c.value()?;
-    Ok((v, c.pos))
+/// [`encode_record`] for a row about to be persisted: an error instead
+/// of bytes that would not read back.
+pub(crate) fn encode_row(rec: &Record) -> Result<Vec<u8>> {
+    let mut w = Writer::new(FORMAT);
+    w.record(rec);
+    w.finish()
 }
 
 /// Decode one record from an encoded payload (the inverse of
-/// [`encode_record`]). Fails on truncated or malformed bytes.
+/// [`encode_record`]). Fails on truncated, malformed, trailing or
+/// over-deep bytes.
 pub fn decode_record(payload: &[u8]) -> Result<Record> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
-    let rec = c.record()?;
-    if c.pos != payload.len() {
-        return Err(ModelError::Io(format!(
-            "spill decode: {} trailing bytes after record",
-            payload.len() - c.pos
-        )));
-    }
+    let mut r = Reader::new(FORMAT, payload);
+    let rec = r.record()?;
+    r.expect_end()?;
     Ok(rec)
 }
 
@@ -305,21 +127,14 @@ pub struct RunWriter {
 }
 
 impl RunWriter {
-    /// Append one record (length-prefixed frame).
+    /// Append one record (length-prefixed frame). A record the codec
+    /// could not read back (nested too deep, a frame over `u32::MAX`
+    /// bytes) is an error and writes nothing.
     pub fn write(&mut self, rec: &Record) -> Result<()> {
-        let payload = encode_record(rec);
-        // One frame is capped at u32::MAX bytes. This also guards every
-        // inner `as u32` in the codec: an overflowing string or container
-        // length implies an overflowing payload.
-        let len = u32::try_from(payload.len()).map_err(|_| {
-            ModelError::Io(format!(
-                "spill frame too large: one record encodes to {} bytes (max {})",
-                payload.len(),
-                u32::MAX
-            ))
-        })?;
-        self.out.write_all(&len.to_le_bytes()).map_err(io_err)?;
-        self.out.write_all(&payload).map_err(io_err)?;
+        let mut w = Writer::new(FORMAT);
+        w.sized(|w| w.record(rec));
+        let frame = w.finish()?;
+        self.out.write_all(&frame).map_err(io_err)?;
         self.rows += 1;
         Ok(())
     }
@@ -419,6 +234,8 @@ impl RunReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use tmql_model::Value;
 
     fn sample_rows() -> Vec<Record> {
         let nested = Value::tuple([

@@ -2,8 +2,8 @@
 //! any page write-back.
 //!
 //! The log is a sidecar file (`<db>.wal`) of length-prefixed,
-//! checksummed records in the spill codec's framing style: each record
-//! is `[u32 payload len][u64 FNV-1a checksum][payload]`, little-endian.
+//! checksummed records written with [`crate::codec`]: each record is
+//! `[u32 payload len][u64 FNV-1a checksum][payload]`, little-endian.
 //! Two payload kinds exist:
 //!
 //! * **page image** — a page id plus its full [`PAGE_SIZE`] bytes, one
@@ -27,9 +27,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tmql_model::{ModelError, Result};
+use tmql_obs::fnv1a;
 
+use crate::codec::{Reader, Writer};
 use crate::failpoint::{self, IoOp, WriteCheck};
 use crate::pager::page::{PageId, PAGE_SIZE};
+
+/// Error-message name of the log format.
+const FORMAT: &str = "wal";
 
 /// Payload tag for a page-image record.
 const KIND_PAGE: u8 = 1;
@@ -37,16 +42,6 @@ const KIND_PAGE: u8 = 1;
 const KIND_COMMIT: u8 = 2;
 /// Bytes of framing before each payload: u32 length + u64 checksum.
 const FRAME_BYTES: usize = 12;
-
-/// FNV-1a 64-bit, the checksum guarding each record's payload.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn io_err(msg: impl Into<String>) -> ModelError {
     ModelError::Io(msg.into())
@@ -73,56 +68,29 @@ pub struct CommitRecord {
 
 impl CommitRecord {
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(21 + 4 * (self.free.len() + self.freed.len()));
-        out.push(KIND_COMMIT);
-        out.extend_from_slice(&self.next_page.to_le_bytes());
-        out.extend_from_slice(&self.catalog_first.to_le_bytes());
-        out.extend_from_slice(&self.catalog_len.to_le_bytes());
+        let mut w = Writer::with_capacity(FORMAT, 25 + 4 * (self.free.len() + self.freed.len()));
+        w.u8(KIND_COMMIT);
+        w.u32(self.next_page);
+        w.u32(self.catalog_first);
+        w.u64(self.catalog_len);
         for list in [&self.free, &self.freed] {
-            out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-            for pid in list {
-                out.extend_from_slice(&pid.to_le_bytes());
-            }
+            w.count(list.len());
+            list.iter().for_each(|&pid| w.u32(pid));
         }
-        out
+        w.into_bytes()
     }
 
-    fn decode(payload: &[u8]) -> Result<CommitRecord> {
-        let mut pos = 1; // caller consumed the kind tag
-        let u32_at = |pos: &mut usize| -> Result<u32> {
-            let end = *pos + 4;
-            let b = payload
-                .get(*pos..end)
-                .ok_or_else(|| io_err("wal: truncated commit record"))?;
-            *pos = end;
-            Ok(u32::from_le_bytes(b.try_into().unwrap()))
+    /// Decode the fields after the kind tag, which the caller consumed.
+    fn decode(r: &mut Reader<'_>) -> Result<CommitRecord> {
+        let commit = CommitRecord {
+            next_page: r.u32()?,
+            catalog_first: r.u32()?,
+            catalog_len: r.u64()?,
+            free: r.list(Reader::u32)?,
+            freed: r.list(Reader::u32)?,
         };
-        let next_page = u32_at(&mut pos)?;
-        let catalog_first = u32_at(&mut pos)?;
-        let len_bytes = payload
-            .get(pos..pos + 8)
-            .ok_or_else(|| io_err("wal: truncated commit record"))?;
-        let catalog_len = u64::from_le_bytes(len_bytes.try_into().unwrap());
-        pos += 8;
-        let mut lists = [Vec::new(), Vec::new()];
-        for list in &mut lists {
-            let n = u32_at(&mut pos)? as usize;
-            list.reserve(n);
-            for _ in 0..n {
-                list.push(u32_at(&mut pos)?);
-            }
-        }
-        if pos != payload.len() {
-            return Err(io_err("wal: trailing bytes in commit record"));
-        }
-        let [free, freed] = lists;
-        Ok(CommitRecord {
-            next_page,
-            catalog_first,
-            catalog_len,
-            free,
-            freed,
-        })
+        r.expect_end()?;
+        Ok(commit)
     }
 }
 
@@ -274,10 +242,11 @@ impl Wal {
     }
 
     fn append(&mut self, payload: &[u8]) -> Result<()> {
-        let mut rec = Vec::with_capacity(FRAME_BYTES + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        rec.extend_from_slice(payload);
+        let mut w = Writer::with_capacity(FORMAT, FRAME_BYTES + payload.len());
+        w.count(payload.len());
+        w.u64(fnv1a(payload));
+        w.bytes(payload);
+        let rec = w.into_bytes();
         let allowed =
             match failpoint::check_write(&self.path, IoOp::WalWrite(rec.len()), rec.len())? {
                 WriteCheck::Full => rec.len(),
@@ -301,11 +270,11 @@ impl Wal {
     /// Append a page-image redo record.
     pub fn append_page(&mut self, pid: PageId, image: &[u8]) -> Result<()> {
         debug_assert_eq!(image.len(), PAGE_SIZE);
-        let mut payload = Vec::with_capacity(5 + PAGE_SIZE);
-        payload.push(KIND_PAGE);
-        payload.extend_from_slice(&pid.to_le_bytes());
-        payload.extend_from_slice(image);
-        self.append(&payload)
+        let mut w = Writer::with_capacity(FORMAT, 5 + PAGE_SIZE);
+        w.u8(KIND_PAGE);
+        w.u32(pid);
+        w.bytes(image);
+        self.append(&w.into_bytes())
     }
 
     /// Append a commit record; the transaction becomes durable at the
@@ -359,38 +328,24 @@ impl Wal {
         }
         let mut scan = WalScan::default();
         let mut pending: Vec<(PageId, Vec<u8>)> = Vec::new();
+        let mut r = Reader::new(FORMAT, &data);
+        // Start of the first record not yet accepted, and end of the last
+        // commit record.
         let mut pos = 0usize;
         let mut committed_end = 0usize;
-        while pos + FRAME_BYTES <= data.len() {
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-            let end = pos + FRAME_BYTES + len;
-            if len == 0 || end > data.len() {
-                break; // torn tail
-            }
-            let sum = u64::from_le_bytes(data[pos + 4..pos + 12].try_into().unwrap());
-            let payload = &data[pos + FRAME_BYTES..end];
-            if fnv1a(payload) != sum {
-                break; // corrupt record
-            }
-            match payload[0] {
-                KIND_PAGE if payload.len() == 5 + PAGE_SIZE => {
-                    let pid = PageId::from_le_bytes(payload[1..5].try_into().unwrap());
-                    pending.push((pid, payload[5..].to_vec()));
-                }
-                KIND_COMMIT => {
-                    let commit = match CommitRecord::decode(payload) {
-                        Ok(c) => c,
-                        Err(_) => break,
-                    };
+        // The first torn, corrupt or malformed record ends the scan.
+        while let Ok(record) = Self::next_record(&mut r) {
+            match record {
+                LogRecord::Page(pid, image) => pending.push((pid, image.to_vec())),
+                LogRecord::Commit(commit) => {
                     scan.txns.push(WalTxn {
                         pages: std::mem::take(&mut pending),
                         commit,
                     });
-                    committed_end = end;
+                    committed_end = r.position();
                 }
-                _ => break, // unknown kind or malformed page record
             }
-            pos = end;
+            pos = r.position();
         }
         // Well-formed-but-uncommitted records, plus one for a torn or
         // corrupt tail the parse loop could not get past.
@@ -398,6 +353,34 @@ impl Wal {
         scan.discarded_bytes = (data.len() - committed_end) as u64;
         Ok(scan)
     }
+
+    /// Parse one framed record: length, checksum, then a page image or a
+    /// commit record. Any failure means the log ends before this record.
+    fn next_record<'a>(r: &mut Reader<'a>) -> Result<LogRecord<'a>> {
+        let len = r.u32()? as usize;
+        let sum = r.u64()?;
+        let payload = r.take(len)?;
+        if fnv1a(payload) != sum {
+            return Err(r.err("checksum mismatch"));
+        }
+        let mut p = Reader::new(FORMAT, payload);
+        match p.u8()? {
+            KIND_PAGE => {
+                let pid = p.u32()?;
+                let image = p.take(PAGE_SIZE)?;
+                p.expect_end()?;
+                Ok(LogRecord::Page(pid, image))
+            }
+            KIND_COMMIT => CommitRecord::decode(&mut p).map(LogRecord::Commit),
+            other => Err(p.err(format_args!("unknown record kind {other}"))),
+        }
+    }
+}
+
+/// One parsed log record, borrowing its page image from the log bytes.
+enum LogRecord<'a> {
+    Page(PageId, &'a [u8]),
+    Commit(CommitRecord),
 }
 
 #[cfg(test)]

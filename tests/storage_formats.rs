@@ -3,20 +3,26 @@
 //! Each test encodes a fixed input and compares the bytes against a
 //! literal, then decodes the literal back. A change to any encoder that
 //! alters a single byte fails here, so refactors of the codec cannot
-//! silently break files written by earlier builds.
+//! silently break files written by earlier builds. The second half feeds
+//! the decoders hostile bytes: nesting a million levels deep and random
+//! byte flips and truncations, which must decode or fail, never panic.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use proptest::prelude::*;
 use tmql_model::schema::{AttrDef, ClassDef, Schema, SortDef};
 use tmql_model::{Record, Ty, Value};
+use tmql_storage::codec::MAX_DEPTH;
 use tmql_storage::index::{decode_index, encode_index, OrdIndex};
 use tmql_storage::pager::image::{decode_catalog, encode_catalog, CatalogImage, TableImage};
 use tmql_storage::pager::PAGE_SIZE;
 use tmql_storage::spill::{decode_record, encode_record};
 use tmql_storage::wal::CommitRecord;
-use tmql_storage::{ColumnStats, Histogram, IndexImage, PagedStore, TableExtent, TableStats, Wal};
+use tmql_storage::{
+    ColumnStats, Histogram, IndexImage, PagedStore, SpillDir, TableExtent, TableStats, Wal,
+};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -323,4 +329,177 @@ fn header_page_bytes_are_pinned() {
     let (store, image) = reopened.unwrap();
     assert_eq!(image, CatalogImage::default());
     assert_eq!(store.free_list_len(), (3, 0));
+}
+
+// ---------------------------------------------------------------------------
+// Hostile bytes: every decoder returns `Ok` or `Err`, never panics or
+// overflows the stack.
+// ---------------------------------------------------------------------------
+
+/// Nesting far past any stack: each of these aborted the process before
+/// the codec bounded its recursion.
+const HOSTILE_DEPTH: usize = 1_000_000;
+
+fn u32_le(n: usize) -> [u8; 4] {
+    (n as u32).to_le_bytes()
+}
+
+/// `HOSTILE_DEPTH` one-element lists around a `Null`, value-encoded.
+fn deep_list_value() -> Vec<u8> {
+    let mut out = Vec::with_capacity(5 * HOSTILE_DEPTH + 1);
+    for _ in 0..HOSTILE_DEPTH {
+        out.push(8); // list tag
+        out.extend_from_slice(&u32_le(1));
+    }
+    out.push(0); // null tag
+    out
+}
+
+#[test]
+fn million_deep_record_is_an_error() {
+    let mut bytes = u32_le(1).to_vec();
+    bytes.extend_from_slice(&u32_le(1));
+    bytes.push(b'x');
+    bytes.extend_from_slice(&deep_list_value());
+    assert!(decode_record(&bytes).is_err());
+}
+
+#[test]
+fn million_deep_catalog_type_is_an_error() {
+    // One class `C` (extension `E`) with one attribute whose type is a
+    // million nested sets.
+    let mut bytes = u32_le(1).to_vec();
+    for s in ["C", "E"] {
+        bytes.extend_from_slice(&u32_le(1));
+        bytes.extend_from_slice(s.as_bytes());
+    }
+    bytes.extend_from_slice(&u32_le(1));
+    bytes.extend_from_slice(&u32_le(1));
+    bytes.push(b'a');
+    bytes.extend(std::iter::repeat(5u8).take(HOSTILE_DEPTH)); // set tags
+    bytes.push(1); // int tag
+    bytes.extend_from_slice(&[0; 12]); // no sorts, tables or indexes
+    assert!(decode_catalog(&bytes).is_err());
+}
+
+#[test]
+fn million_deep_index_key_is_an_error() {
+    let key = deep_list_value();
+    let mut bytes = u32_le(1).to_vec();
+    bytes.extend_from_slice(&u32_le(key.len()));
+    bytes.extend_from_slice(&key);
+    bytes.extend_from_slice(&u32_le(0)); // no positions
+    assert!(decode_index("k", &bytes).is_err());
+}
+
+#[test]
+fn persisting_paths_refuse_what_would_not_read_back() {
+    let deep = (0..MAX_DEPTH).fold(Value::Null, |v, _| Value::List(vec![v]));
+    let rec = Record::new([("x".to_string(), deep)]).unwrap();
+    let dir = SpillDir::create().unwrap();
+    let mut run = dir.create_run().unwrap();
+    assert!(run.write(&rec).is_err(), "spill run");
+    assert_eq!(run.rows(), 0);
+
+    let path = scratch("refuse");
+    let store = PagedStore::create(&path, 4).unwrap();
+    assert!(store.write_table(&[rec]).is_err(), "data page");
+    let deep_ty = (0..MAX_DEPTH).fold(Ty::Int, |t, _| Ty::Set(Box::new(t)));
+    let mut img = catalog_image(false);
+    img.tables[0].columns[1].1 = deep_ty;
+    assert!(store.save_catalog(&img).is_err(), "catalog image");
+    drop(store);
+    cleanup(&path);
+}
+
+/// Flip the bytes at `flips` (positions taken modulo the first `window`
+/// bytes), then cut the result to `cut` bytes (modulo its length + 1).
+fn mutate(bytes: &[u8], window: usize, flips: &[(usize, u8)], cut: Option<usize>) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let window = window.min(out.len());
+    for &(at, mask) in flips {
+        out[at % window] ^= mask;
+    }
+    if let Some(cut) = cut {
+        out.truncate(cut % (out.len() + 1));
+    }
+    out
+}
+
+fn arb_flips() -> impl Strategy<Value = Vec<(usize, u8)>> {
+    prop::collection::vec((any::<usize>(), 1u8..=255), 1..4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn mutated_records_catalogs_and_indexes_decode_or_error(
+        flips in arb_flips(),
+        cut in prop::option::of(any::<usize>()),
+    ) {
+        let rec = encode_record(&every_value_kind());
+        let _ = decode_record(&mutate(&rec, usize::MAX, &flips, cut));
+        let cat = encode_catalog(&catalog_image(true));
+        let _ = decode_catalog(&mutate(&cat, usize::MAX, &flips, cut));
+        let idx = OrdIndex::from_entries(
+            "k",
+            [(Value::Int(10), vec![0, 1]), (Value::str("x"), vec![2])],
+        );
+        let _ = decode_index("k", &mutate(&encode_index(&idx), usize::MAX, &flips, cut));
+    }
+
+    /// A commit record with hostile fields but a valid checksum reaches
+    /// the commit decoder; a raw mutated frame exercises the framing.
+    #[test]
+    fn mutated_commit_frames_scan_without_panicking(
+        flips in arb_flips(),
+        cut in prop::option::of(any::<usize>()),
+    ) {
+        let path = scratch("fuzz-commit");
+        let wal_path = Wal::path_for(&path);
+        let commit = CommitRecord {
+            next_page: 9,
+            catalog_first: 7,
+            catalog_len: 42,
+            free: vec![3, 4],
+            freed: vec![5],
+        };
+        {
+            let mut wal = Wal::open(&wal_path).unwrap();
+            wal.append_commit(&commit).unwrap();
+        }
+        let frame = std::fs::read(&wal_path).unwrap();
+        let payload = mutate(&frame[12..], usize::MAX, &flips, cut);
+        let mut reframed = u32_le(payload.len()).to_vec();
+        reframed.extend_from_slice(&tmql_obs::fnv1a(&payload).to_le_bytes());
+        reframed.extend_from_slice(&payload);
+        for bytes in [reframed, mutate(&frame, usize::MAX, &flips, cut)] {
+            std::fs::write(&wal_path, &bytes).unwrap();
+            prop_assert!(Wal::scan(&wal_path).is_ok());
+        }
+        cleanup(&path);
+    }
+
+    /// The header page's fields (the first 64 bytes cover them and part
+    /// of the free list) decode or fail with an error on open.
+    #[test]
+    fn mutated_header_pages_open_or_error(
+        flips in arb_flips(),
+        cut in prop::option::of(any::<usize>()),
+    ) {
+        let path = scratch("fuzz-header");
+        {
+            let store = PagedStore::create(&path, 4).unwrap();
+            store.save_catalog(&catalog_image(true)).unwrap();
+            store.save_catalog(&catalog_image(false)).unwrap();
+        }
+        let file = std::fs::read(&path).unwrap();
+        let mut bytes = mutate(&file[..PAGE_SIZE], 64, &flips, cut);
+        bytes.extend_from_slice(&file[PAGE_SIZE..]);
+        std::fs::write(&path, &bytes).unwrap();
+        let _ = std::fs::remove_file(Wal::path_for(&path));
+        let _ = PagedStore::open(&path, 4);
+        cleanup(&path);
+    }
 }
