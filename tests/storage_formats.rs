@@ -336,8 +336,8 @@ fn header_page_bytes_are_pinned() {
 // overflows the stack.
 // ---------------------------------------------------------------------------
 
-/// Nesting far past any stack: each of these aborted the process before
-/// the codec bounded its recursion.
+/// Nesting far past any thread's stack: a decoder that recursed without
+/// a bound would abort the whole process on each of these.
 const HOSTILE_DEPTH: usize = 1_000_000;
 
 fn u32_le(n: usize) -> [u8; 4] {
